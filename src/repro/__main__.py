@@ -115,13 +115,8 @@ from repro.engines import engine_names
 from repro.errors import ReproError
 from repro.core.session import compile as compile_session
 
-# The CLI's section format is the service's wire format; the parsers live
-# with the protocol and are re-exported here for backwards compatibility.
-from repro.service.protocol import (  # noqa: F401 - re-exported names
-    load_instance,
-    parse_dtd_section,
-    parse_transducer_section,
-)
+# The CLI's section format is the service's wire format.
+from repro.service.protocol import load_instance, parse_dtd_section
 
 _METHODS = ("auto", *engine_names())
 

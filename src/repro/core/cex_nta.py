@@ -41,7 +41,6 @@ def counterexample_nta(
     max_tuple: Optional[int] = None,
     *,
     schema: Optional[ForwardSchema] = None,
-    use_kernel: bool = True,
 ) -> NTA:
     """Build (the reachable part of) Lemma 14's counterexample automaton.
 
@@ -102,10 +101,7 @@ def counterexample_nta(
     # ------------------------------------------------------------------
     # Forward tables.
     # ------------------------------------------------------------------
-    engine = ForwardEngine(
-        transducer, din, dout, max_tuple,
-        use_kernel=use_kernel, schema=schema,
-    )
+    engine = ForwardEngine(transducer, din, dout, max_tuple, schema=schema)
     pairs = reachable_pairs(
         transducer, din,
         usable_cache=schema.usable_cache, word_cache=schema.word_cache,
@@ -150,7 +146,7 @@ def counterexample_nta(
 
     # cfg states: the hedge product graphs, with finals chosen per τ.
     # (Cell keys come from the engine and are canonical: σ is None for
-    # cells with an empty behavior tuple, which the kernel shares across
+    # cells with an empty behavior tuple, which the engine shares across
     # output symbols — the state names below just follow the keys.)
     for (sigma, b, P), table in engine.tree_vals.items():
         if not table:
@@ -158,7 +154,6 @@ def counterexample_nta(
         deferred = engine.deferred_tuple(P, b)
         hedge_key = engine.key_for(sigma, b, deferred)
         entry = engine.hedge_vals[hedge_key]
-        dfa = engine.out_dfa(sigma)
         dfa_in = din.content_dfa(b)
         graph_states = set(entry.nodes)
         transitions: Dict = {}
@@ -167,9 +162,10 @@ def counterexample_nta(
             transitions.setdefault(src, {}).setdefault(
                 ("cfg", child_sigma, c, deferred, tau_c), set()
             ).add(dst)
-        taus_by_pi: Dict[Tuple, Set] = {}
-        for pi in entry.accepted:
-            taus_by_pi[pi] = set(engine._assemble(P, b, pi, dfa))
+        taus_by_pi: Dict[Tuple, Set] = {
+            pi: engine.assembled_taus(sigma, b, P, pi_flat)
+            for pi_flat, pi in entry.int_accepted_list
+        }
         for tau in table:
             finals = {
                 node

@@ -80,8 +80,11 @@ class ReplusSchema:
             self.din.content_replus(symbol)
         for symbol in sorted(self.dout.alphabet, key=repr):
             self.dout.content_dfa(symbol)
-        self.witness_dag("t_min")
-        self.witness_dag("t_vast")
+        # An empty input language has no witness trees; every route then
+        # answers the vacuous True before asking for one.
+        if not self.din.is_empty():
+            self.witness_dag("t_min")
+            self.witness_dag("t_vast")
         self.compiled = True
         return self
 

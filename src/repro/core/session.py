@@ -15,7 +15,7 @@ This module is that deployment shape as an API:
   calls — ``session.typecheck(T)``, ``session.typecheck_many(Ts)``,
   ``session.counterexample(T)``, ``session.analysis(T)`` — skip all of it.
 
-* an **in-process registry** keyed by schema/option *content hashes*
+* an **in-process registry** keyed by schema *content hashes*
   (:meth:`~repro.schemas.dtd.DTD.content_hash`), consulted by
   :func:`compile` and hence by the one-shot
   :func:`repro.core.api.typecheck` facade: calling ``typecheck`` twice with
@@ -104,10 +104,6 @@ def schema_fingerprint(schema: Schema) -> str:
     raise TypeError(f"not a schema: {schema!r}")
 
 
-def _options_fingerprint(options: Dict[str, object]) -> str:
-    return repr(sorted(options.items()))
-
-
 # ----------------------------------------------------------------------
 # Per-method kwarg validation (delegated to the engine registry)
 # ----------------------------------------------------------------------
@@ -174,8 +170,8 @@ class Session:
     to the pair (``eager=False`` defers each to first use; the facade uses
     that so one-shot calls never pay for artifacts they do not touch).  All
     per-method entry points accept the same options as the corresponding
-    ``typecheck_*`` functions; ``use_kernel`` and ``max_product_nodes``
-    default to the session-level options.
+    ``typecheck_*`` functions; ``max_product_nodes`` defaults to the
+    session-level budget.
 
     The public surface:
 
@@ -195,21 +191,18 @@ class Session:
         sin: Schema,
         sout: Schema,
         *,
-        use_kernel: bool = True,
         max_product_nodes: int = DEFAULT_MAX_PRODUCT_NODES,
         eager: bool = True,
     ) -> None:
         self.sin = sin
         self.sout = sout
-        self.use_kernel = use_kernel
         # The default per-call node budget.  Deliberately NOT part of the
         # session identity: no compiled artifact depends on it (shared
         # ProductBFS budgets are refreshed per call, and a budget abort
         # resets the shared cells), so retrying a BudgetExceededError with
         # a larger ``max_product_nodes`` kwarg stays warm.
         self.max_product_nodes = max_product_nodes
-        self.options: Dict[str, object] = {"use_kernel": use_kernel}
-        self.key: Tuple[str, str, str] = session_key(sin, sout, self.options)
+        self.key: Tuple[str, str] = session_key(sin, sout)
         self.stats: Dict[str, object] = {
             "source": "fresh",
             "calls": 0,
@@ -450,14 +443,8 @@ class Session:
             # route by measurable schema shape.  Each engine's shard cost
             # model is summed over its own check keys, weighed by its
             # calibrated per-unit runtime, and the cheapest predicted
-            # wall time runs; an option foreign to the chosen engine
-            # (use_kernel, max_tuple above) pins the route to forward.
+            # wall time runs.
             choice, costs = self._auto_choice(plain)
-            if choice != "forward" and any(
-                name not in get_engine(choice).allowed_kwargs()
-                for name in kwargs
-            ):
-                choice = "forward"
             route_start = time.perf_counter()
             result = self._run_auto(choice, plain, None, kwargs)
             # Router audit: predicted vs. measured cost of this decision —
@@ -544,10 +531,6 @@ class Session:
         self._auto_routes[memo_key] = route
         return route
 
-    def _apply_defaults(self, kwargs: Dict[str, object]) -> None:
-        kwargs.setdefault("use_kernel", self.use_kernel)
-        kwargs.setdefault("max_product_nodes", self.max_product_nodes)
-
     # ------------------------------------------------------------------
     # Incremental re-typechecking (edit chains)
     # ------------------------------------------------------------------
@@ -572,7 +555,7 @@ class Session:
         link to link.  ``method`` accepts ``auto`` (the usual routing,
         restricted to the two complete engines), ``forward``, or
         ``backward``; anything that the delta path cannot serve (cold
-        base, non-DTD pair, ``use_kernel=False``, blown budgets, XPath
+        base, non-DTD pair, blown budgets, XPath
         calls, alphabet/behavior-shape changes) falls back to a plain
         cold check, reported in ``stats["retypecheck_mode"]``.
 
@@ -624,14 +607,12 @@ class Session:
             }
             return result
 
-        if kwargs.get("use_kernel") is False:
-            return cold("object path requested")
         plain, analysis = self._compiled_transducer(transducer)
 
         # Resolve auto exactly as _typecheck's policy would, so the
         # resolved engine (and hence the reported mode) matches the run.
         if method == "auto":
-            resolved = self._resolve_auto(plain, analysis, max_tuple, kwargs)
+            resolved = self._resolve_auto(plain, analysis, max_tuple)
             if resolved is None:
                 # Frontier-crossing instance: the cold call raises the
                 # same ClassViolationError a plain typecheck would.
@@ -748,7 +729,6 @@ class Session:
         plain: TreeTransducer,
         analysis: TransducerAnalysis,
         max_tuple: Optional[int],
-        kwargs: Dict[str, object],
     ) -> Optional[str]:
         """The engine ``method="auto"`` resolves to for this instance
         (mirrors ``_typecheck``'s ladder), or ``None`` when auto would
@@ -758,13 +738,7 @@ class Session:
         if self._dtd_pair_value is not None and max_tuple is not None:
             return "forward"
         if self._dtd_pair_value is not None and analysis.in_trac:
-            choice, _costs = self._auto_choice(plain)
-            if choice != "forward" and any(
-                name not in get_engine(choice).allowed_kwargs()
-                for name in kwargs
-            ):
-                choice = "forward"
-            return choice
+            return self._auto_choice(plain)[0]
         if analysis.is_del_relab:
             return "delrelab"
         if self._dtd_pair_value is not None:
@@ -847,44 +821,6 @@ class Session:
                 scope.counters, scope.gauges
             )
             return tables
-
-    def forward_check_keys(self, transducer: TreeTransducer) -> List[Tuple]:
-        """The hedge-cell keys of ``T``'s root checks (shard units)."""
-        return self.check_keys(transducer, "forward")
-
-    def compute_forward_tables(
-        self,
-        transducer: TreeTransducer,
-        keys,
-        *,
-        max_tuple: Optional[int] = None,
-        max_product_nodes: Optional[int] = None,
-    ) -> Dict[str, object]:
-        """One shard of ``T``'s forward fixpoint against the warm pair
-        (see :meth:`compute_shard_tables`)."""
-        return self.compute_shard_tables(
-            transducer, keys, "forward",
-            max_tuple=max_tuple, max_product_nodes=max_product_nodes,
-        )
-
-    def backward_check_keys(self, transducer: TreeTransducer) -> List[str]:
-        """The input symbols of ``T``'s backward product cells (shard
-        units — one per reachable input symbol)."""
-        return self.check_keys(transducer, "backward")
-
-    def compute_backward_tables(
-        self,
-        transducer: TreeTransducer,
-        keys,
-        *,
-        max_product_nodes: Optional[int] = None,
-    ) -> Dict[str, object]:
-        """One shard of ``T``'s backward fixpoint against the warm pair
-        (see :meth:`compute_shard_tables`)."""
-        return self.compute_shard_tables(
-            transducer, keys, "backward",
-            max_product_nodes=max_product_nodes,
-        )
 
     def shard_method(
         self,
@@ -1062,18 +998,6 @@ class Session:
                 )
             plan_span.set(method=method, keys=len(keys), shards=len(partitions))
         engine.validate_kwargs(kwargs)
-        if engine.kernel_sensitive and (
-            "use_kernel" in kwargs
-            and bool(kwargs["use_kernel"]) != self.use_kernel
-        ):
-            # Shard keys were canonicalized with the session's engine; an
-            # engine flip here would look the merged cells up under
-            # different keys.  The option is session-level for sharding.
-            raise TypeError(
-                "typecheck_sharded always runs the session's engine "
-                f"(use_kernel={self.use_kernel}); build a "
-                "Session(use_kernel=...) for the other engine"
-            )
         snapshots = _call_compute_shards(compute_shards, partitions, method)
         # Per-shard kernel counters ride the snapshots under a key the
         # mergers ignore; pop them before merging so the explain report
@@ -1170,7 +1094,7 @@ class Session:
             plain, _analysis = self._compiled_transducer(transducer)
             return counterexample_nta(
                 plain, din, dout, max_tuple,
-                schema=self.forward_schema(), use_kernel=self.use_kernel,
+                schema=self.forward_schema(),
             )
 
     def typechecks_almost_always(
@@ -1184,7 +1108,7 @@ class Session:
             plain, _analysis = self._compiled_transducer(transducer)
             return typechecks_almost_always(
                 plain, din, dout, max_tuple,
-                schema=self.forward_schema(), use_kernel=self.use_kernel,
+                schema=self.forward_schema(),
             )
 
     # ------------------------------------------------------------------
@@ -1329,21 +1253,9 @@ class Session:
         return artifacts
 
     @classmethod
-    def from_artifacts(
-        cls,
-        artifacts: Dict[str, object],
-        *,
-        use_kernel: bool = True,
-        max_product_nodes: int = DEFAULT_MAX_PRODUCT_NODES,
-    ) -> "Session":
+    def from_artifacts(cls, artifacts: Dict[str, object]) -> "Session":
         """Rebuild a warm session from :meth:`export_artifacts` output."""
-        session = cls(
-            artifacts["sin"],
-            artifacts["sout"],
-            use_kernel=use_kernel,
-            max_product_nodes=max_product_nodes,
-            eager=False,
-        )
+        session = cls(artifacts["sin"], artifacts["sout"], eager=False)
         for engine in persistent_engines():
             data = artifacts.get(engine.name)
             if data is not None:
@@ -1369,7 +1281,7 @@ class Session:
 # pinned to thousands of pairs actually runs out of.  Hit/miss/eviction
 # counters and the resident footprints are exposed via
 # :func:`registry_info` (and through the service's ``stats`` op).
-_REGISTRY: "OrderedDict[Tuple[str, str, str], Session]" = OrderedDict()
+_REGISTRY: "OrderedDict[Tuple[str, str], Session]" = OrderedDict()
 _REGISTRY_LOCK = threading.RLock()
 _REGISTRY_LIMIT = 32
 _DEFAULT_REGISTRY_BYTES = 256 * 1024 * 1024
@@ -1397,7 +1309,7 @@ _REGISTRY_MAX_BYTES: Optional[int] = _registry_bytes_from_env()
 _REGISTRY_STATS: Dict[str, int] = {"hits": 0, "misses": 0, "evictions": 0}
 
 
-def _registry() -> "OrderedDict[Tuple[str, str, str], Session]":
+def _registry() -> "OrderedDict[Tuple[str, str], Session]":
     return _REGISTRY
 
 
@@ -1431,13 +1343,9 @@ def _evict_over_budget(registry: "OrderedDict") -> None:
     _metrics.gauge("repro.session.registry.bytes", policy="sum").set(total)
 
 
-def session_key(sin: Schema, sout: Schema, options: Dict[str, object]):
-    """The registry/cache key of a schema pair: content hashes + options."""
-    return (
-        schema_fingerprint(sin),
-        schema_fingerprint(sout),
-        _options_fingerprint(options),
-    )
+def session_key(sin: Schema, sout: Schema) -> Tuple[str, str]:
+    """The registry/cache key of a schema pair: its content hashes."""
+    return (schema_fingerprint(sin), schema_fingerprint(sout))
 
 
 def clear_registry() -> None:
@@ -1480,15 +1388,14 @@ def compile(  # noqa: A001 - the ISSUE mandates the repro.compile spelling
     sin: Schema,
     sout: Schema,
     *,
-    use_kernel: bool = True,
     eager: bool = True,
     cache_dir=None,
     reuse: bool = True,
 ) -> Session:
     """Compile — or transparently reuse — a :class:`Session` for a pair.
 
-    Lookup order: the in-process registry (keyed by schema/option content
-    hashes, LRU-bounded), then the on-disk artifact cache when ``cache_dir``
+    Lookup order: the in-process registry (keyed by schema content hashes,
+    LRU-bounded), then the on-disk artifact cache when ``cache_dir``
     is given (see :mod:`repro.cache`), then a fresh build (which is stored
     in both).  ``reuse=False`` bypasses the registry entirely (used by cold
     benchmarks); ``eager=False`` defers artifact compilation to first use —
@@ -1500,8 +1407,7 @@ def compile(  # noqa: A001 - the ISSUE mandates the repro.compile spelling
     individual call — the warm retry-after-``BudgetExceededError`` pattern.
     A non-default session-wide budget needs a private ``Session(...)``.
     """
-    options = {"use_kernel": use_kernel}
-    key = session_key(sin, sout, options)
+    key = session_key(sin, sout)
     session = None
     registry = _registry()
     if reuse:
@@ -1522,11 +1428,9 @@ def compile(  # noqa: A001 - the ISSUE mandates the repro.compile spelling
     if session is None and cache_dir is not None:
         from repro import cache as artifact_cache
 
-        session = artifact_cache.load_session(
-            sin, sout, options=options, cache_dir=cache_dir
-        )
+        session = artifact_cache.load_session(sin, sout, cache_dir=cache_dir)
     if session is None:
-        session = Session(sin, sout, use_kernel=use_kernel, eager=eager)
+        session = Session(sin, sout, eager=eager)
     if cache_dir is not None:
         from repro import cache as artifact_cache
 

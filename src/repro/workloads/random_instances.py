@@ -117,7 +117,7 @@ def seeded_instance(
     """The 200-seed differential-test instance for ``seed``.
 
     One derivation shared by every suite that cross-validates engines
-    (kernel vs object fixpoint in
+    (forward vs backward vs brute force in
     ``tests/core/test_forward_kernel_equivalence.py``, warm-session vs cold
     runs in ``tests/core/test_session.py``): a random DTD, a random
     ``T_trac`` transducer whose deletion/copying mix cycles with the seed,

@@ -218,8 +218,10 @@ class TestSchemaAndCache:
     def test_session_rejects_foreign_options(self):
         transducer, din, dout, _ = nd_bc_family(3)
         session = Session(din, dout, eager=False)
-        with pytest.raises(TypeError, match="use_kernel"):
-            session.typecheck(transducer, method="backward", use_kernel=False)
+        with pytest.raises(TypeError, match="check_output_class"):
+            session.typecheck(
+                transducer, method="backward", check_output_class=False
+            )
         with pytest.raises(TypeError, match="max_tuple"):
             session.typecheck(transducer, method="backward", max_tuple=2)
 

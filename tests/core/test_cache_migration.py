@@ -1,13 +1,12 @@
-"""Migration: pre-registry cache artifacts still load.
+"""Cache layout: blob sections, engine-named side files, legacy leftovers.
 
-The engine-registry refactor generalized the artifact cache — blob
-sections and side-file names now come from engine declarations — but the
-on-disk format did not bump: a cache directory written by the previous
-release must keep hitting.  These tests pin both directions: legacy
-side-file names (``<key>.tables.<hash>.pkl`` forward,
-``<key>.btables.<hash>.pkl`` backward) hydrate the right engine, and the
-blob keeps the exact section layout old readers expect, while *new* side
-files carry the owning engine's name in the filename and payload.
+Blob sections and side-file names come from engine declarations: the
+blob keeps one section per persistent engine, and side files carry the
+owning engine's name in the filename and payload.  Side files named the
+pre-registry way (``<key>.tables.<hash>.pkl`` forward,
+``<key>.btables.<hash>.pkl`` backward) are no longer read: a directory
+holding them loads, ignores them and recomputes the verdicts, and
+:func:`repro.cache.clear` still prunes them.
 """
 
 import pytest
@@ -59,14 +58,12 @@ class TestBlobLayout:
 
 class TestLegacySideFiles:
     def _write_legacy(self, tmp_path, session):
-        """Side files exactly as the previous release wrote them: kind
-        encoded in the name, payload without an ``engine`` key."""
-        key = artifact_cache.artifact_key(
-            session.sin, session.sout, session.options
-        )
-        for engine_name, path_fn, field in (
-            ("forward", artifact_cache.tables_path, "tables"),
-            ("backward", artifact_cache.backward_result_path, "result"),
+        """Side files named the pre-registry way: kind encoded in the
+        name, payload without an ``engine`` key."""
+        key = artifact_cache.artifact_key(session.sin, session.sout)
+        for engine_name, kind, field in (
+            ("forward", "tables", "tables"),
+            ("backward", "btables", "result"),
         ):
             for thash, snapshot in _snapshots(session, engine_name).items():
                 payload = {
@@ -75,12 +72,12 @@ class TestLegacySideFiles:
                     "transducer": thash,
                     field: snapshot,
                 }
-                path_fn(tmp_path, key, thash).write_bytes(
+                (tmp_path / f"{key}.{kind}.{thash}.pkl").write_bytes(
                     serialize.dumps(payload)
                 )
         return key
 
-    def test_legacy_names_hydrate_the_right_engines(self, tmp_path):
+    def test_legacy_names_are_ignored_and_recomputed(self, tmp_path):
         session, transducer, expected = _donor(tmp_path)
         key = self._write_legacy(tmp_path, session)
         # Only the blob and the two hand-written legacy files are on disk.
@@ -96,18 +93,23 @@ class TestLegacySideFiles:
         loaded = compile_session(din, dout, cache_dir=tmp_path, reuse=False)
         assert loaded.stats["source"] == "artifact-cache"
         thash = transducer.content_hash()
-        assert thash in _snapshots(loaded, "forward")
-        assert thash in _snapshots(loaded, "backward")
+        for engine_name in ("forward", "backward"):
+            store, _limit = get_engine(engine_name).side_store(loaded)
+            assert thash not in store, engine_name
         for method in ("forward", "backward"):
             result = loaded.typecheck(transducer, method=method)
             assert result.typechecks == expected
-            assert result.stats["table_cache"] == "hit", method
+            assert result.stats["table_cache"] == "miss", method
+
+    def test_clear_prunes_legacy_leftovers(self, tmp_path):
+        session, _transducer, _expected = _donor(tmp_path)
+        self._write_legacy(tmp_path, session)
+        assert artifact_cache.clear(tmp_path) == 3
+        assert list(tmp_path.iterdir()) == []
 
     def test_new_side_files_carry_the_engine_name(self, tmp_path):
         session, transducer, _expected = _donor(tmp_path)
-        key = artifact_cache.artifact_key(
-            session.sin, session.sout, session.options
-        )
+        key = artifact_cache.artifact_key(session.sin, session.sout)
         artifact_cache.publish(session, cache_dir=tmp_path, min_interval_s=0)
         thash = transducer.content_hash()
         for engine_name, field in (("forward", "tables"), ("backward", "result")):

@@ -3,8 +3,8 @@
 The heart is the warm-vs-cold property: results served by a reused
 ``Session`` (shared schema artifacts, shared empty-P ProductBFS cells,
 second-call cache hits) must be identical to fresh one-shot runs, across
-methods and across ``use_kernel`` on/off — replayed over the same 200-seed
-generator as the kernel equivalence suite.
+methods — replayed over the same 200-seed generator as the forward
+equivalence suite.
 """
 
 import pytest
@@ -35,33 +35,42 @@ def _in_trac(transducer) -> bool:
 
 @pytest.mark.parametrize("chunk", range(10))
 def test_warm_session_matches_cold_runs(chunk):
-    """Warm (session-reused) results are identical to cold runs, for the
-    kernel and the object engine, over the shared 200-seed generator."""
+    """Warm (session-reused) results are identical to cold runs over the
+    shared 200-seed generator."""
     chunk_size = N_SEEDS // 10
     for seed in range(chunk * chunk_size, (chunk + 1) * chunk_size):
         transducer, din, dout = seeded_instance(seed)
         if not _in_trac(transducer):
             continue
         cold = typecheck_forward(transducer, din, dout)
-        for use_kernel in (True, False):
-            session = Session(
-                din, dout, use_kernel=use_kernel, eager=(seed % 2 == 0)
+        session = Session(din, dout, eager=(seed % 2 == 0))
+        first = session.typecheck(transducer, method="forward")
+        second = session.typecheck(transducer, method="forward")
+        for name, result in (("first", first), ("second", second)):
+            assert result.typechecks == cold.typechecks, (
+                f"seed {seed}: {name} warm call diverges from cold"
             )
-            first = session.typecheck(transducer, method="forward")
-            second = session.typecheck(transducer, method="forward")
-            for name, result in (("first", first), ("second", second)):
-                assert result.typechecks == cold.typechecks, (
-                    f"seed {seed} use_kernel={use_kernel}: "
-                    f"{name} warm call diverges from cold"
+            assert result.stats.get("violations") == cold.stats.get(
+                "violations"
+            ), f"seed {seed}"
+            if not result.typechecks:
+                assert result.verify(transducer, din.accepts, dout.accepts), (
+                    f"seed {seed}: {name} warm counterexample does not verify"
                 )
-                assert result.stats.get("violations") == cold.stats.get(
-                    "violations"
-                ), f"seed {seed} use_kernel={use_kernel}"
-                if not result.typechecks:
-                    assert result.verify(transducer, din.accepts, dout.accepts), (
-                        f"seed {seed} use_kernel={use_kernel}: {name} warm "
-                        "counterexample does not verify"
-                    )
+
+
+def test_empty_input_dtd_compiles_and_checks_vacuously():
+    """An input DTD accepting no tree (seed 354: an RE+ pair) compiles
+    eagerly without asking for witness trees, and every complete method
+    that applies answers the vacuous True."""
+    transducer, din, dout = seeded_instance(354)
+    assert din.is_empty()
+    clear_registry()
+    session = compile_session(din, dout)
+    for method in ("auto", "forward", "backward", "replus", "replus-witnesses"):
+        result = session.typecheck(transducer, method=method)
+        assert result.typechecks, method
+        assert result.counterexample is None, method
 
 
 @pytest.mark.parametrize("chunk", range(4))
@@ -232,13 +241,6 @@ class TestRegistry:
         info = registry_info()
         assert info["size"] == 1  # the second call reused the first session
 
-    def test_options_split_sessions(self):
-        clear_registry()
-        _, din, dout, _ = nd_bc_family(4)
-        kernel = compile_session(din, dout, eager=False)
-        objectpath = compile_session(din, dout, use_kernel=False, eager=False)
-        assert kernel is not objectpath
-
     def test_budget_is_per_call_and_never_poisons_the_shared_session(self):
         """A one-shot call with a tiny max_product_nodes must not change
         what later plain calls on the same schemas see (regression test:
@@ -283,14 +285,18 @@ class TestKwargValidation:
 
     def test_error_lists_valid_options(self):
         transducer, din, dout, _ = nd_bc_family(3)
-        with pytest.raises(TypeError, match="want_counterexample"):
-            repro.typecheck(transducer, din, dout, method="forward", bogus=1)
+        # ``use_kernel`` is not an option: it fails like any typo.
+        for option in ("bogus", "use_kernel"):
+            with pytest.raises(TypeError, match="want_counterexample"):
+                repro.typecheck(
+                    transducer, din, dout, method="forward", **{option: 1}
+                )
 
     def test_forward_option_rejected_for_replus(self):
         transducer, din, dout, _ = nd_bc_family(3)
-        with pytest.raises(TypeError, match="'use_kernel'"):
+        with pytest.raises(TypeError, match="'want_counterexample'"):
             repro.typecheck(
-                transducer, din, dout, method="replus", use_kernel=True
+                transducer, din, dout, method="replus", want_counterexample=False
             )
 
     def test_max_tuple_rejected_for_explicit_non_forward_method(self):

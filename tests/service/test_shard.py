@@ -204,17 +204,6 @@ class TestShardPlanner:
 
 
 class TestShardOptionGuards:
-    def test_use_kernel_flip_rejected(self):
-        """Shard keys are canonicalized with the session's engine; a
-        per-call engine flip would hydrate under mismatched keys, so it is
-        rejected up front (regression test)."""
-        transducer, din, dout, _ = nd_bc_family(4)
-        session = Session(din, dout, eager=False)
-        with pytest.raises(TypeError, match="session's engine"):
-            session.typecheck_sharded(
-                transducer, lambda partitions: [], use_kernel=False
-            )
-
     def test_sharded_stats_carry_worker_product_nodes(self):
         transducer, din, dout, _ = nd_bc_family(6)
         session = Session(din, dout, eager=False)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.__main__ import load_instance, main
+from repro.__main__ import main
 from repro.errors import ReproError
+from repro.service.protocol import load_instance
 
 GOOD = """
 start book
