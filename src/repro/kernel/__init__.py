@@ -8,9 +8,10 @@ same primitive: explore a product of string/tree automata and decide
 emptiness or inclusion.  This package is that primitive, implemented once:
 
 ``interning``
-    :class:`Interner` maps states/symbols of any automaton to dense ints
-    ``0..n-1`` at construction (repr-sorted, so runs are reproducible under
-    hash randomization).  State *sets* become Python-int bitmasks.
+    :class:`Interner` maps the states and the *read* symbols (those labelling
+    some transition) of any automaton to dense ints ``0..n-1`` at
+    construction, repr-sorted so runs are reproducible under hash
+    randomization.  State *sets* become Python-int bitmasks.
 
 ``product``
     :class:`ProductBFS`, the single demand-driven product-reachability
@@ -21,10 +22,13 @@ emptiness or inclusion.  This package is that primitive, implemented once:
 ``dfa_kernel`` / ``nfa_kernel``
     :class:`InternedDFA` (flat list transition table, ``-1`` = dead) and
     :class:`InternedNFA` (per-state int rows), plus the DFA product /
-    inclusion / minimization and horizontal pair-product configurations of
-    the engine.  Public classes cache their interned form via
+    inclusion / minimization and the horizontal pair products of tree
+    automaton intersection.  Public classes cache their interned form via
     ``DFA.kernel()`` / ``NFA.kernel()`` — interning happens once per
-    automaton, not once per operation.
+    automaton, not once per operation.  Products are built kernel to
+    kernel: product states (and the pair symbols of NFA pair products) are
+    packed operand indices in discovery order, decoded to object pairs
+    lazily by a ``PairInterner``.
 
 ``nta_kernel``
     NTA emptiness (Proposition 4) as an incremental worklist over

@@ -114,7 +114,9 @@ class InternedDFA:
 # Product (intersection-style) construction
 # ----------------------------------------------------------------------
 class PairInterner:
-    """An :class:`Interner` over product pair states, decoded lazily.
+    """An :class:`Interner` over product pairs — the states of a DFA or NFA
+    product, or the pair symbols of a horizontal NFA product — decoded
+    lazily.
 
     The product BFS works entirely on packed codes ``l * n_right + r``;
     this interner stores those codes plus the two factors' state

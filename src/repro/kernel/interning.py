@@ -11,9 +11,14 @@ objects (strings, tuples, frozensets, …) to consecutive integers
 which replaces tuple-of-object hashing and dict lookups on the hot paths
 with list indexing and integer arithmetic.
 
-The interner orders its seed values by ``repr`` so that kernel runs are
-reproducible across processes even under hash randomization (the seed
-object-state code inherited frozenset iteration order, which is not).
+Kernels intern an automaton's states and its *read* symbols — those that
+label some transition; an alphabet symbol no transition reads occurs in no
+accepted word, and masks simply ignore it.  The interner orders its seed
+values by ``repr`` so that kernel runs are reproducible across processes
+even under hash randomization (the seed object-state code inherited
+frozenset iteration order, which is not).  Product kernels skip the sort:
+their packed operand indices, in discovery order, are already
+reproducible.
 """
 
 from __future__ import annotations

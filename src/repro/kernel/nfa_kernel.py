@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, List, Optional, Tuple
 
+from repro.kernel.dfa_kernel import PairInterner
 from repro.kernel.interning import Interner
 from repro.kernel.product import ProductBFS
 
@@ -23,20 +24,34 @@ Symbol = Hashable
 class InternedNFA:
     """An ε-free NFA over dense integer states and symbols.
 
-    ``rows[q]`` is a tuple of ``(symbol_index, targets_tuple)`` pairs;
-    ``initial`` is a tuple of state indices and ``finals_mask`` a bitmask.
+    Built from an :class:`~repro.strings.nfa.NFA`, the interners hold its
+    states and its *read* symbols — those labelling some transition — each
+    repr-sorted, so indices and witnesses are hash-seed independent.
+    Alphabet symbols no transition reads are not interned: they occur in no
+    accepted word, and symbol masks (:meth:`allowed_mask`) ignore them.
+
+    ``rows[q]`` is a tuple of ``(symbol_index, targets_tuple)`` pairs
+    (sorted by symbol index when built from an NFA); ``initial`` is a tuple
+    of state indices and ``finals_mask`` a bitmask.  Pair products are
+    built directly from two kernels by :func:`pair_product_kernel`.
     """
 
     __slots__ = ("states", "symbols", "rows", "initial", "finals_mask", "n_states")
 
     def __init__(self, nfa) -> None:
+        transitions = nfa.transitions
         self.states: Interner = Interner.from_sorted(nfa.states)
-        self.symbols: Interner = Interner.from_sorted(nfa.alphabet)
+        # Only symbols that label a transition can occur in an accepted
+        # word; unread alphabet symbols (a horizontal NFA's alphabet is the
+        # whole tree-automaton state set) would only widen the masks.
+        self.symbols: Interner = Interner.from_sorted(
+            {symbol for row in transitions.values() for symbol in row}
+        )
         self.n_states = len(self.states)
         state_index = self.states.index
         symbol_index = self.symbols.index
         rows: List[Tuple[Tuple[int, Tuple[int, ...]], ...]] = [()] * self.n_states
-        for src, row in nfa.transitions.items():
+        for src, row in transitions.items():
             rows[state_index(src)] = tuple(
                 sorted(
                     (
@@ -51,6 +66,26 @@ class InternedNFA:
             sorted(state_index(q) for q in nfa.initial)
         )
         self.finals_mask: int = self.states.mask(nfa.finals)
+
+    def decode(self):
+        """The object view ``(states, transitions, initial, finals)`` in the
+        :class:`~repro.strings.nfa.NFA` representation."""
+        state = self.states.value
+        symbol = self.symbols.value
+        transitions = {
+            state(src): {
+                symbol(index): frozenset(state(t) for t in targets)
+                for index, targets in row
+            }
+            for src, row in enumerate(self.rows)
+            if row
+        }
+        return (
+            frozenset(self.states.values),
+            transitions,
+            frozenset(state(q) for q in self.initial),
+            self.states.unmask(self.finals_mask),
+        )
 
     # ------------------------------------------------------------------
     def allowed_mask(self, symbols=None) -> int:
@@ -136,56 +171,64 @@ class InternedNFA:
 # ----------------------------------------------------------------------
 # Horizontal pair products (tree-automaton intersection)
 # ----------------------------------------------------------------------
-def pair_product_components(left, right):
-    """Reachable pair product reading *pairs* of symbols — the horizontal
-    language of a product tree automaton (see
+def pair_product_kernel(ileft: InternedNFA, iright: InternedNFA) -> InternedNFA:
+    """Reachable pair product of two interned NFAs reading *pairs* of
+    symbols — the horizontal language of a product tree automaton (see
     :func:`repro.tree_automata.ops.intersect`).
 
-    Returns ``(states, table, initial, finals, alphabet)`` decoded to the
-    seed's pair-tuple representation.
+    Built straight from the operand kernels, so the cost is the reachable
+    pair transitions, not the pair alphabet: states are dense ints in BFS
+    discovery order and symbols are the pairs read on some transition, in
+    first-read order.  Both orders follow the operand kernels' repr-sorted
+    indices, so they are hash-seed independent; the object pairs decode
+    lazily through :class:`PairInterner` interners.  (Rows here are in
+    operand-symbol order, not sorted by the product's symbol index.)
     """
-    ileft: InternedNFA = left.kernel()
-    iright: InternedNFA = right.kernel()
     n_right = iright.n_states
+    n_right_symbols = len(iright.symbols)
     lrows, rrows = ileft.rows, iright.rows
-    lvalue, rvalue = ileft.states.value, iright.states.value
-    lsym, rsym = ileft.symbols.value, iright.symbols.value
-
-    table: Dict[Tuple, Dict[Tuple, set]] = {}
-
-    def decode(node: int) -> Tuple[State, State]:
-        l, r = divmod(node, n_right)
-        return (lvalue(l), rvalue(r))
-
-    def successors(node: int):
-        l, r = divmod(node, n_right)
-        row_l = lrows[l]
-        row_r = rrows[r]
-        if not row_l or not row_r:
-            return
-        src = decode(node)
-        row_out = table.setdefault(src, {})
-        for u, targets_l in row_l:
-            for v, targets_r in row_r:
-                cell = row_out.setdefault((lsym(u), rsym(v)), set())
+    codes: List[int] = [l * n_right + r for l in ileft.initial for r in iright.initial]
+    ids: Dict[int, int] = {code: index for index, code in enumerate(codes)}
+    symbol_codes: List[int] = []
+    symbol_ids: Dict[int, int] = {}
+    rows: List[Tuple[Tuple[int, Tuple[int, ...]], ...]] = []
+    for code in codes:  # grows while iterating: the BFS frontier
+        l, r = divmod(code, n_right)
+        row = []
+        for u, targets_l in lrows[l]:
+            pair_base = u * n_right_symbols
+            for v, targets_r in rrows[r]:
+                pair = pair_base + v
+                symbol = symbol_ids.get(pair)
+                if symbol is None:
+                    symbol = symbol_ids[pair] = len(symbol_codes)
+                    symbol_codes.append(pair)
+                targets = []
                 for tl in targets_l:
                     base = tl * n_right
                     for tr in targets_r:
                         succ = base + tr
-                        cell.add(decode(succ))
-                        yield succ, None
+                        succ_id = ids.get(succ)
+                        if succ_id is None:
+                            succ_id = ids[succ] = len(codes)
+                            codes.append(succ)
+                        targets.append(succ_id)
+                row.append((symbol, tuple(targets)))
+        rows.append(tuple(row))
 
-    engine = ProductBFS()
-    seeds = [l * n_right + r for l in ileft.initial for r in iright.initial]
-    engine.run(seeds, successors)
-
-    states = {decode(node) for node in engine.parents}
     lf, rf = ileft.finals_mask, iright.finals_mask
-    finals = {
-        decode(node)
-        for node in engine.parents
-        if lf >> (node // n_right) & 1 and rf >> (node % n_right) & 1
-    }
-    initial = {decode(node) for node in seeds}
-    alphabet = {(u, v) for u in left.alphabet for v in right.alphabet}
-    return states, table, initial, finals, alphabet
+    finals_mask = 0
+    for index, code in enumerate(codes):
+        l, r = divmod(code, n_right)
+        if lf >> l & 1 and rf >> r & 1:
+            finals_mask |= 1 << index
+    infa = InternedNFA.__new__(InternedNFA)
+    infa.states = PairInterner(codes, ileft.states, iright.states, n_right)
+    infa.symbols = PairInterner(
+        symbol_codes, ileft.symbols, iright.symbols, n_right_symbols
+    )
+    infa.rows = rows
+    infa.initial = tuple(range(len(ileft.initial) * len(iright.initial)))
+    infa.finals_mask = finals_mask
+    infa.n_states = len(codes)
+    return infa

@@ -3,8 +3,8 @@
 The seed implementation re-scanned every ``δ(q, a)`` entry per fixpoint
 round and re-ran a frozenset-based BFS for each.  Here the productive set
 lives in per-horizontal-NFA *bitmasks* that are updated incrementally: when
-a state ``q`` becomes productive, only the rules whose horizontal alphabet
-mentions ``q`` are re-enqueued.  Shortest-word searches run on
+a state ``q`` becomes productive, only the rules whose horizontal NFA
+reads ``q`` on some transition are re-enqueued.  Shortest-word searches run on
 :class:`~repro.kernel.nfa_kernel.InternedNFA` via the shared
 :class:`~repro.kernel.product.ProductBFS` engine.
 
@@ -34,13 +34,12 @@ def productive_states(nta) -> Tuple[FrozenSet[State], Dict[State, Tuple[str, Tup
         infa = nfa.kernel()
         rule_id = len(rules)
         rules.append((state, symbol, infa))
-        # Index only symbols that occur on actual transitions: a state
+        # Kernels intern only the symbols some transition reads, so a state
         # turning productive re-enqueues exactly the rules that can *read*
-        # it (horizontal alphabets are the full state set, so indexing the
-        # alphabet would re-enqueue everything and go quadratic).
-        used = {index for row in infa.rows for (index, _targets) in row}
+        # it (horizontal alphabets are the full state set; indexing those
+        # would re-enqueue everything and go quadratic).
         value = infa.symbols.value
-        for index in used:
+        for index in range(len(infa.symbols)):
             occurrences.setdefault(value(index), []).append((rule_id, index))
 
     allowed = [0] * len(rules)

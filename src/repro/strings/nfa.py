@@ -526,3 +526,51 @@ class NFA:
     def equivalent(self, other: "NFA") -> bool:
         """Language equivalence (two inclusion tests)."""
         return self.contains(other) and other.contains(self)
+
+
+class LazyProductNFA(NFA):
+    """A horizontal pair-product NFA backed by its interned kernel, decoded
+    on demand (the NFA sibling of :class:`~repro.strings.dfa.LazyProductDFA`).
+
+    Construction costs exactly the kernel-side pair BFS
+    (:func:`repro.kernel.nfa_kernel.pair_product_kernel`); the object views
+    — pair states, the transitions dict, initial and final states — are
+    materialized only when first touched.  Kernel consumers (NTA emptiness,
+    witness search) never decode.  ``alphabet`` is given, not decoded:
+    :func:`repro.tree_automata.ops.intersect` passes every rule the one
+    shared pair-state set of the product automaton.
+    """
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, kernel, alphabet: FrozenSet[Symbol]) -> None:
+        # Deliberately does NOT call NFA.__init__: kernel-built products
+        # are well-formed by construction and the object views stay unbuilt.
+        self._kernel = kernel
+        self.alphabet = alphabet
+        self._hash = None
+        self._useful = None
+        self._content_hash = None
+        self._parts = None
+
+    def _materialize(self):
+        if self._parts is None:
+            self._parts = self._kernel.decode()
+        return self._parts
+
+    # Object-level views (shadow the parent's slot descriptors).
+    states = property(lambda self: self._materialize()[0])
+    transitions = property(lambda self: self._materialize()[1])
+    initial = property(lambda self: self._materialize()[2])
+    finals = property(lambda self: self._materialize()[3])
+
+    def __repr__(self) -> str:
+        return (
+            f"LazyProductNFA(|Q|={self._kernel.n_states}, "
+            f"|Σ|={len(self.alphabet)})"
+        )
+
+    def __reduce__(self):
+        # The kernel (with its PairInterner interners) is closure-free, so
+        # the lazy view pickles as (class, kernel, alphabet).
+        return (LazyProductNFA, (self._kernel, self.alphabet))

@@ -52,7 +52,8 @@ class NTA:
                 raise InvalidSchemaError(f"transition for unknown state {state!r}")
             if symbol not in self.alphabet:
                 raise InvalidSchemaError(f"transition for unknown symbol {symbol!r}")
-            if not nfa.alphabet <= self.states:
+            # Product automata share one state set as every rule's alphabet.
+            if nfa.alphabet is not self.states and not nfa.alphabet <= self.states:
                 raise InvalidSchemaError(
                     "horizontal language must be over the automaton's states"
                 )

@@ -12,7 +12,7 @@ from collections import deque
 from typing import Dict, FrozenSet, Hashable, Tuple
 
 from repro.errors import BudgetExceededError, NotCompleteError, NotDeterministicError
-from repro.strings.nfa import NFA
+from repro.strings.nfa import NFA, LazyProductNFA
 from repro.tree_automata.nta import NTA
 
 State = Hashable
@@ -22,33 +22,49 @@ def _pair_product_nfa(left: NFA, right: NFA) -> NFA:
     """Product of two horizontal NFAs reading *pairs* of symbols.
 
     Accepts ``(u₁,v₁)…(u_n,v_n)`` iff ``left`` accepts ``u₁…u_n`` and
-    ``right`` accepts ``v₁…v_n`` — the horizontal language of a product tree
-    automaton whose states are pairs.  The reachable pair space is explored
-    on the interned kernel.
+    ``right`` accepts ``v₁…v_n``, over the full pair alphabet
+    ``left.alphabet × right.alphabet`` — the decoded form of the kernel
+    :func:`intersect` builds (kept as the object-level contract the kernel
+    tests compare against :mod:`repro.kernel.reference`).
     """
-    from repro.kernel.nfa_kernel import pair_product_components
+    from repro.kernel.nfa_kernel import pair_product_kernel
 
-    states, table, initial, finals, alphabet = pair_product_components(left, right)
+    states, table, initial, finals = pair_product_kernel(
+        left.kernel(), right.kernel()
+    ).decode()
+    alphabet = {(u, v) for u in left.alphabet for v in right.alphabet}
     if not states:
         return NFA.empty_language(alphabet)
     return NFA(states, alphabet, table, initial, finals)
 
 
 def intersect(left: NTA, right: NTA) -> NTA:
-    """Product automaton with ``L = L(left) ∩ L(right)``."""
+    """Product automaton with ``L = L(left) ∩ L(right)``.
+
+    Every rule's horizontal NFA is a :class:`LazyProductNFA` built straight
+    from the two operand kernels, so the work is the reachable pair
+    transitions; each one shares the product's single pair-state set as its
+    alphabet (the NTA invariant ``alphabet ⊆ states``) instead of copying
+    it, and pair states decode only when an object view is asked for.
+    """
+    from repro.kernel.nfa_kernel import pair_product_kernel
+
     alphabet = left.alphabet & right.alphabet
-    states = {(p, q) for p in left.states for q in right.states}
+    states = frozenset((p, q) for p in left.states for q in right.states)
+    right_rules: Dict[str, list] = {}
+    for (q, symbol), nfa_right in right.delta.items():
+        if symbol in alphabet:
+            right_rules.setdefault(symbol, []).append((q, nfa_right.kernel()))
     delta: Dict[Tuple[State, str], NFA] = {}
     for (p, symbol), nfa_left in left.delta.items():
-        if symbol not in alphabet:
+        rules = right_rules.get(symbol)
+        if not rules:
             continue
-        for (q, symbol_right), nfa_right in right.delta.items():
-            if symbol_right != symbol:
-                continue
-            product = _pair_product_nfa(nfa_left, nfa_right)
-            # Enlarge the horizontal alphabet to the full pair state set so
-            # the NTA invariant (alphabet ⊆ states) holds.
-            delta[((p, q), symbol)] = product.with_alphabet(states)
+        ileft = nfa_left.kernel()
+        for q, iright in rules:
+            delta[((p, q), symbol)] = LazyProductNFA(
+                pair_product_kernel(ileft, iright), states
+            )
     finals = {(p, q) for p in left.finals for q in right.finals}
     return NTA(states, alphabet, delta, finals)
 

@@ -162,50 +162,86 @@ def random_tree(
     """A random tree of ``L(dtd, symbol)`` of depth at most ``max_depth``.
 
     Random walk through the content automata, stopping at accepting states
-    with probability ``stop_bias`` (raised near the depth limit).  Returns
-    ``None`` when no tree is found within ``attempts`` retries.
+    with probability ``stop_bias`` (raised near the depth limit).  Walks
+    only use child symbols whose minimum tree height fits the remaining
+    depth (and only states that can still accept with them), so no subtree
+    is started that cannot be finished; ``None`` is returned at once when
+    the root itself does not fit, and otherwise only when ``attempts`` walks
+    per node all overrun the word-length cap.
     """
     rng = rng if rng is not None else random.Random()
     root = dtd.start if symbol is None else symbol
+    heights = _min_heights(dtd)
+    if heights.get(root, max_depth + 1) > max_depth:
+        return None
 
     def sample(a: str, depth: int) -> Optional[Tree]:
-        if depth > max_depth:
-            return None
+        room = max_depth - depth
+        fits = frozenset(b for b, height in heights.items() if height <= room)
         nfa = dtd.content_nfa(a)
+        live = nfa.coreachable_states(fits)
         for _ in range(attempts):
-            word = _random_word(nfa, rng, stop_bias if depth < max_depth else 1.0)
+            word = _random_word(
+                nfa, rng, stop_bias if depth < max_depth else 1.0, fits, live
+            )
             if word is None:
                 continue
             children: List[Tree] = []
-            ok = True
             for b in word:
                 child = sample(b, depth + 1)
                 if child is None:
-                    ok = False
                     break
                 children.append(child)
-            if ok:
+            else:
                 return Tree(a, children)
         return None
 
     return sample(root, 1)
 
 
-def _random_word(nfa, rng: random.Random, stop_bias: float, max_len: int = 16):
-    """One random accepted word, or ``None`` if the walk fails."""
-    if not nfa.initial:
+def _min_heights(dtd) -> Dict[str, int]:
+    """The minimum height of a tree rooted at each symbol, for the symbols
+    that root any tree at all: a fixpoint over the content NFAs where level
+    ``k`` admits the symbols whose content accepts a word over the symbols
+    of height below ``k``."""
+    heights: Dict[str, int] = {}
+    level = 0
+    while True:
+        level += 1
+        below = frozenset(heights)
+        new = [
+            a
+            for a in dtd.alphabet
+            if a not in heights and not dtd.content_nfa(a).is_empty(below)
+        ]
+        if not new:
+            return heights
+        for a in new:
+            heights[a] = level
+
+
+def _random_word(nfa, rng: random.Random, stop_bias: float, fits, live, max_len: int = 16):
+    """One random accepted word over the symbols ``fits`` that stays in the
+    ``live`` states (those that can still accept over ``fits``), or ``None``
+    if the walk overruns ``max_len``."""
+    starts = sorted(nfa.initial & live, key=repr)
+    if not starts:
         return None
-    state = rng.choice(sorted(nfa.initial, key=repr))
+    state = rng.choice(starts)
     word: List[str] = []
     for _ in range(max_len + 1):
         if state in nfa.finals and (rng.random() < stop_bias or len(word) >= max_len):
             return tuple(word)
         row = nfa.transitions.get(state, {})
         options = [
-            (symbol, target) for symbol, targets in row.items() for target in targets
+            (symbol, target)
+            for symbol, targets in row.items()
+            if symbol in fits
+            for target in targets
+            if target in live
         ]
         if not options:
-            return tuple(word) if state in nfa.finals else None
+            return tuple(word)  # a live state without live moves is final
         symbol, state = rng.choice(sorted(options, key=repr))
         word.append(symbol)
     return None

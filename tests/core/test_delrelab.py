@@ -1,15 +1,21 @@
 """Tests for Theorem 20 (T_del-relab w.r.t. DTAc(DFA)) and Lemma 19."""
 
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ClassViolationError
 from repro.core import typecheck_bruteforce, typecheck_delrelab
-from repro.core.delrelab import wrap_deleting_states
+from repro.core.delrelab import DelrelabSchema, _witness_rooted, wrap_deleting_states
 from repro.schemas import DTD, dtd_to_dtac, dtd_to_nta
 from repro.transducers import TreeTransducer, image_nta
 from repro.trees import parse_tree
 from repro.trees.generate import enumerate_trees
 from repro.tree_automata.hash_elim import eliminate_hashes
+from repro.tree_automata.ops import intersect
 
 
 @pytest.fixture
@@ -185,3 +191,89 @@ class TestRootDeletion:
         )
         self._check(root_deleter, din, dout_ok, True)
         self._check(root_deleter, din, dout_bad, False)
+
+
+def _failing_instance():
+    """A fixed del-relab instance with several violating outputs of the same
+    size, so the one reported depends on the product's rule and symbol
+    order (``seeded_instance(5)`` as drawn under one hash seed — the
+    generator itself iterates sets, so it is spelled out here)."""
+    transducer = TreeTransducer(
+        states={"q0", "q1"},
+        alphabet={"o0", "o1", "o2", "s0", "s1", "s2"},
+        initial="q0",
+        rules={
+            ("q0", "s0"): "o0(o0(o2) q0)",
+            ("q0", "s2"): "o1",
+            ("q1", "s2"): "o1",
+        },
+    )
+    din = DTD({"s0": "s2* s2", "s1": "s2", "s2": "ε"}, start="s0")
+    dout = DTD(
+        {"o0": "ε", "o1": "ε", "o2": "ε"}, start="o0", alphabet=transducer.alphabet
+    )
+    return transducer, din, dout
+
+
+class TestProductConstruction:
+    """The Theorem 20 product is built in proportion to its transitions."""
+
+    def test_product_kernels_are_sized_by_their_transitions(self):
+        transducer, din, dout = _failing_instance()
+        schema = DelrelabSchema(din, dout)
+        hash_symbol = schema.free_hash_symbol(transducer.alphabet)
+        b_in = image_nta(
+            schema.input_nta, wrap_deleting_states(transducer, hash_symbol)
+        )
+        product = intersect(b_in, schema.lifted_complement(hash_symbol))
+        assert product.delta
+        for nfa in product.delta.values():
+            # One shared pair-state set, never a per-rule copy.
+            assert nfa.alphabet is product.states
+            # The kernel interns exactly the pair symbols its rows read.
+            infa = nfa.kernel()
+            read = {symbol for row in infa.rows for symbol, _targets in row}
+            assert len(infa.symbols) == len(read)
+
+
+_WITNESS_SCRIPT = """
+import pickle, sys
+from repro.core.delrelab import _witness_rooted, typecheck_delrelab
+from repro.schemas import dtd_to_nta
+
+with open(sys.argv[1], "rb") as handle:
+    transducer, din, dout = pickle.load(handle)
+print(repr(typecheck_delrelab(transducer, din, dout).stats["violating_output"]))
+ain = dtd_to_nta(din)
+for symbol in sorted(ain.alphabet):
+    print(symbol, repr(_witness_rooted(ain, symbol)))
+"""
+
+
+class TestCrossProcessWitnesses:
+    def test_witnesses_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Interning and the product kernels order states and symbols
+        without relying on hash order, so one failing instance yields the
+        same violating output and rooted input witnesses in interpreters
+        with different hash seeds."""
+        instance = _failing_instance()
+        path = tmp_path / "instance.pkl"
+        path.write_bytes(pickle.dumps(instance))
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = []
+        for hash_seed in ("1", "4"):
+            run = subprocess.run(
+                [sys.executable, "-c", _WITNESS_SCRIPT, str(path)],
+                capture_output=True,
+                text=True,
+                env={"PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        transducer, din, dout = instance
+        ain = dtd_to_nta(din)
+        local = [repr(typecheck_delrelab(transducer, din, dout).stats["violating_output"])]
+        local += [
+            f"{symbol} {_witness_rooted(ain, symbol)!r}" for symbol in sorted(ain.alphabet)
+        ]
+        assert outputs[0] == outputs[1] == "\n".join(local) + "\n"

@@ -82,6 +82,14 @@ class TestInternedNFA:
         assert only_a == ("a", "a")
         assert infa.some_word([]) is None
 
+    def test_interns_only_read_symbols(self):
+        nfa = NFA({0, 1}, {"a", "b", "c"}, {0: {"b": {1}}}, {0}, {1})
+        infa = nfa.kernel()
+        assert infa.symbols.values == ("b",)
+        assert infa.allowed_mask(["a", "c"]) == 0
+        assert infa.some_word(["a", "c"]) is None
+        assert infa.some_word(["b", "c"]) == ("b",)
+
     def test_masks_match_object_queries(self):
         rng = random.Random(7)
         for _ in range(25):

@@ -56,6 +56,16 @@ class TestIntersect:
         right = dtd_to_nta(DTD({"r": "b"}, start="r"))
         assert is_empty(intersect(left, right))
 
+    def test_product_rules_pickle_as_kernels(self, dtd_ab, dtd_ba):
+        import pickle
+
+        prod = intersect(dtd_to_nta(dtd_ab), dtd_to_nta(dtd_ba))
+        clone = pickle.loads(pickle.dumps(prod))
+        for key, nfa in prod.delta.items():
+            assert clone.delta[key] == nfa
+        assert clone.accepts(parse_tree("r(b b)"))
+        assert not clone.accepts(parse_tree("r(a b)"))
+
     def test_witness_from_intersection(self, dtd_ab, dtd_ba):
         prod = intersect(dtd_to_nta(dtd_ab), dtd_to_nta(dtd_ba))
         tree = witness_tree(prod)

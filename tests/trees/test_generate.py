@@ -4,7 +4,7 @@ import random
 
 from repro.schemas import DTD
 from repro.trees.generate import enumerate_trees, minimal_tree, random_tree
-from repro.trees.tree import parse_tree
+from repro.trees.tree import Tree, parse_tree
 
 
 def book_dtd() -> DTD:
@@ -103,3 +103,14 @@ class TestRandom:
     def test_impossible_depth_returns_none(self):
         dtd = DTD({"r": "x", "x": "x"}, start="r")
         assert random_tree(dtd, random.Random(0), max_depth=3) is None
+
+    def test_never_starts_a_subtree_that_cannot_fit(self):
+        # x only roots infinite trees and z needs depth 3: at max_depth 2
+        # every r must be r(y), found without retries at any depth bound.
+        dtd = DTD({"r": "x | y | z", "x": "x", "y": "", "z": "y"}, start="r")
+        rng = random.Random(1)
+        for _ in range(20):
+            assert random_tree(dtd, rng, max_depth=2, attempts=1) == Tree(
+                "r", (Tree("y"),)
+            )
+        assert random_tree(dtd, rng, symbol="x", max_depth=60) is None
