@@ -661,17 +661,20 @@ def bench_shard_plan(results, width: int, arms: int, repeat: int, shards: int) -
     """
     transducer, din, dout = _skewed_shard_instance(width, arms)
 
-    def spread_of(planner: str):
+    def spread_of(positional: bool):
+        from repro.core.forward import compute_forward_tables, ForwardSchema
+
         best = None
         for _ in range(repeat):
             session = Session(din, dout, eager=False)
 
-            def compute(partitions):
-                from repro.core.forward import (
-                    compute_forward_tables,
-                    ForwardSchema,
-                )
-
+            def compute(partitions, method):
+                if positional:
+                    # The round-robin baseline: the check keys split by
+                    # position, ignoring the LPT plan.
+                    keys = session.check_keys(transducer, method)
+                    count = len(partitions)
+                    partitions = [keys[index::count] for index in range(count)]
                 return [
                     compute_forward_tables(
                         transducer, din, dout, partition,
@@ -681,7 +684,7 @@ def bench_shard_plan(results, width: int, arms: int, repeat: int, shards: int) -
                 ]
 
             result = session.typecheck_sharded(
-                transducer, compute, shards=shards, planner=planner
+                transducer, compute, shards=shards
             )
             walls = result.stats["shard_wall_s"]
             row = {
@@ -695,8 +698,8 @@ def bench_shard_plan(results, width: int, arms: int, repeat: int, shards: int) -
                 best = row
         return best
 
-    planned = spread_of("cost")
-    rr = spread_of("round-robin")
+    planned = spread_of(positional=False)
+    rr = spread_of(positional=True)
     results.append(
         {
             "group": "service-shard-plan",

@@ -136,12 +136,6 @@ class BackwardSchema:
         # Result snapshots above carry only the finished answer; edit
         # chains additionally need the derived Φ lists themselves.
         self.transducer_tables: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
-        # Measured per-key (= per-input-symbol) costs of previous sharded
-        # runs, mirroring ForwardSchema.shard_profiles: transducer content
-        # hash -> {input symbol: attributed seconds}.  planner="profile"
-        # plans repeated pairs on these instead of the size model.
-        self.shard_profiles: "OrderedDict[str, Dict[str, float]]" = OrderedDict()
-        self.shard_profile_version = 0
         self.compiled = False
 
     def in_kernel_info(self, a: str):
@@ -184,19 +178,6 @@ class BackwardSchema:
     def store_tables(self, table_key: str, tables: Dict[str, object]) -> None:
         lru_store(self.transducer_tables, table_key, tables,
                   self.transducer_result_limit)
-
-    def shard_profile(self, table_key: str) -> Optional[Dict[str, float]]:
-        """The measured per-symbol costs of a previous sharded run of an
-        equal transducer, or ``None`` (LRU-touched on hit)."""
-        return lru_get(self.shard_profiles, table_key)
-
-    def record_shard_profile(
-        self, table_key: str, profile: Dict[str, float]
-    ) -> None:
-        """Retain the measured per-symbol costs of a sharded run (LRU)."""
-        lru_store(self.shard_profiles, table_key, profile,
-                  self.transducer_result_limit)
-        self.shard_profile_version += 1
 
     def warm(self) -> "BackwardSchema":
         """Eagerly compile every schema-derived artifact.
@@ -322,8 +303,8 @@ class BackwardEngine:
         self.violation: Optional[PairKey] = None
         self.work = 0
         # Wall seconds accumulated per input-symbol cell across the chaotic
-        # iteration — the measured per-key costs a sharded run exports for
-        # planner="profile" (see compute_backward_tables).
+        # iteration — the per-key attribution on a shard's ``fixpoint``
+        # span (see compute_backward_tables).
         self.cell_elapsed: Dict[str, float] = {}
 
         self._cells: Dict[str, _Cell] = {}
@@ -887,9 +868,6 @@ def compute_backward_tables(
         "witness": witness,
         "work": engine.work,
         "elapsed_s": time.perf_counter() - start,
-        "key_elapsed_s": {
-            a: engine.cell_elapsed.get(a, 0.0) for a in assigned
-        },
     }
 
 
@@ -900,25 +878,20 @@ def merge_backward_tables(
 
     Partitions are disjoint, so per-symbol derived lists concatenate
     trivially (first copy wins on overlap); ``work`` accumulates and the
-    per-shard/per-key wall times collect for the planner's stats and the
-    profile feedback."""
+    per-shard wall times collect for the sharded call's balance stats."""
     merged: Dict[str, object] = {"derived": {}, "witness": {}, "work": 0}
     derived: Dict = merged["derived"]
     witness: Dict = merged["witness"]
     elapsed: List[float] = []
-    key_elapsed: Dict[str, float] = {}
     for shard in shards:
         merged["work"] = int(merged["work"]) + int(shard.get("work", 0))
         if "elapsed_s" in shard:
             elapsed.append(float(shard["elapsed_s"]))
-        key_elapsed.update(shard.get("key_elapsed_s") or {})
         for a, phis in shard["derived"].items():
             derived.setdefault(a, list(phis))
         witness.update(shard["witness"])
     if elapsed:
         merged["shard_elapsed_s"] = elapsed
-    if key_elapsed:
-        merged["key_elapsed_s"] = key_elapsed
     return merged
 
 

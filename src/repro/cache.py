@@ -309,11 +309,8 @@ def _artifact_state(session: Session) -> tuple:
     Per-transducer tables and backward result snapshots are deliberately
     absent: they live in side files (written un-throttled by
     :func:`publish`), so a session that only accrues them never rewrites
-    its schema blob.  Shard profiles *are* blob state (they ship inside
-    the forward/backward artifacts), so recording one — including
-    re-measuring a resident profile, which keeps ``len()`` constant —
-    must trigger a refresh: each schema's monotone
-    ``shard_profile_version`` counter captures that.
+    its schema blob.  What remains is the forward schema's converged
+    shared cells, whose counts grow monotonically between publishes.
     """
     state: list = []
     for engine in persistent_engines():

@@ -298,14 +298,6 @@ class ForwardSchema:
         # after reset_shared() (they were snapshotted post-convergence).
         self.transducer_tables: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
         self.transducer_table_limit = TRANSDUCER_TABLE_LIMIT
-        # Measured per-key shard costs of previous sharded runs
-        # (transducer content hash -> {check key: attributed seconds}).
-        # ``planner="profile"`` plans repeated pairs on these instead of
-        # the n_out^m model; see Session.typecheck_sharded.  The version
-        # counter bumps on every recording (including re-measurements of
-        # a resident profile) for the blob-publish fingerprint.
-        self.shard_profiles: "OrderedDict[str, Dict[TupleKey, float]]" = OrderedDict()
-        self.shard_profile_version = 0
         self.compiled = False
 
     def universal_dfa(self, alphabet: frozenset) -> DFA:
@@ -343,22 +335,6 @@ class ForwardSchema:
         """Retain a successful run's tables under the transducer's hash."""
         lru_store(self.transducer_tables, table_key, tables,
                   self.transducer_table_limit)
-
-    def shard_profile(self, table_key: str) -> Optional[Dict[TupleKey, float]]:
-        """The measured per-key costs of a previous sharded run of an
-        equal transducer, or ``None`` (LRU-touched on hit)."""
-        return lru_get(self.shard_profiles, table_key)
-
-    def record_shard_profile(
-        self, table_key: str, profile: Dict[TupleKey, float]
-    ) -> None:
-        """Retain the measured per-key costs of a sharded run (LRU)."""
-        lru_store(self.shard_profiles, table_key, profile,
-                  self.transducer_table_limit)
-        # Monotone version stamp: re-measuring an existing profile keeps
-        # len() constant, so the artifact-publish fingerprint reads this
-        # counter instead (see repro.cache._artifact_state).
-        self.shard_profile_version += 1
 
     def reset_shared(self) -> None:
         """Drop the shared fixpoint cells (they rebuild on next use).
@@ -1009,9 +985,8 @@ def forward_check_keys(
 # therefore charges ``seeds + closure``, with each closure cell's weight
 # (its input content DFA size) amortized across every key in the batch
 # whose closure contains it — shards that share a closure split its bill.
-# ``plan_forward_shards`` LPT-packs the keys into balanced shards —
-# replacing the blind round-robin split whose shard wall times were only
-# as balanced as the key *order* happened to be.
+# ``plan_forward_shards`` LPT-packs the keys into balanced shards (a blind
+# positional split is only as balanced as the key *order* happens to be).
 
 
 def forward_key_costs(
@@ -1128,12 +1103,11 @@ def compute_forward_tables(
     )
     start = time.perf_counter()
     # Keys are evaluated one at a time to their (incremental) fixpoint so
-    # each key's wall time can be measured separately: dependency work is
-    # attributed to the first key that pulls it in — measured truth, which
-    # is exactly what ``planner="profile"`` needs to stop smearing one
-    # shard wall time across co-scheduled keys.  The final tables are the
-    # same least fixpoint as an all-at-once run (chaotic iteration is
-    # confluent; later requests only add cells and re-drain dependents).
+    # the worker's ``fixpoint`` span can attribute wall time to each key
+    # separately: dependency work is charged to the first key that pulls
+    # it in.  The final tables are the same least fixpoint as an
+    # all-at-once run (chaotic iteration is confluent; later requests only
+    # add cells and re-drain dependents).
     key_elapsed: Dict[TupleKey, float] = {}
     last = start
     with _trace.span("fixpoint", engine="forward") as fix_span:
@@ -1159,7 +1133,6 @@ def compute_forward_tables(
     # Shard wall time, measured where the work actually ran (a service
     # worker) — the shard planner's balance is judged on these.
     tables["elapsed_s"] = time.perf_counter() - start
-    tables["key_elapsed_s"] = key_elapsed
     return tables
 
 
@@ -1175,20 +1148,16 @@ def merge_forward_tables(shards: Iterable[Dict[str, object]]) -> Dict[str, objec
     hedge: Dict = merged["hedge"]
     tree: Dict = merged["tree"]
     elapsed: List[float] = []
-    key_elapsed: Dict[TupleKey, float] = {}
     for shard in shards:
         merged["work"] = int(merged["work"]) + int(shard.get("work", 0))
         if "elapsed_s" in shard:
             elapsed.append(float(shard["elapsed_s"]))
-        key_elapsed.update(shard.get("key_elapsed_s") or {})
         for key, entry in shard["hedge"].items():
             hedge.setdefault(key, entry)
         for key, cell in shard["tree"].items():
             tree.setdefault(key, cell)
     if elapsed:
         merged["shard_elapsed_s"] = elapsed
-    if key_elapsed:
-        merged["key_elapsed_s"] = key_elapsed
     return merged
 
 

@@ -43,7 +43,6 @@ parallel typechecking a non-goal.
 
 from __future__ import annotations
 
-import inspect
 import os
 import threading
 import time
@@ -126,30 +125,6 @@ def validate_method_kwargs(method: str, kwargs: Dict[str, object]) -> None:
     forwarded it).  This names the offending option and lists the valid ones.
     """
     get_engine(method).validate_kwargs(kwargs)
-
-
-def _call_compute_shards(compute_shards, partitions, method: str):
-    """Invoke a shard fan-out callback, new- or old-style.
-
-    Callbacks that can take a second positional argument receive the
-    resolved engine (``compute_shards(partitions, method)``) — what a
-    ``method="auto"`` caller needs to compute the right engine's tables;
-    the classic single-parameter forward callbacks are called unchanged.
-    """
-    try:
-        params = list(inspect.signature(compute_shards).parameters.values())
-    except (TypeError, ValueError):  # builtins/C callables: assume classic
-        return compute_shards(partitions)
-    positional = [
-        p
-        for p in params
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    if len(positional) >= 2 or any(
-        p.kind is p.VAR_POSITIONAL for p in params
-    ):
-        return compute_shards(partitions, method)
-    return compute_shards(partitions)
 
 
 def _reject_max_tuple(method: str, max_tuple: Optional[int]) -> None:
@@ -778,7 +753,7 @@ class Session:
         self, transducer: TreeTransducer, method: str = "forward"
     ) -> List:
         """The shard units of ``T`` under ``method``'s engine (the keys
-        the planners partition across workers)."""
+        the shard planner partitions across workers)."""
         engine = get_engine(method)
         with self._lock:
             return engine.check_keys(self, transducer)
@@ -835,9 +810,10 @@ class Session:
         engines — ``max_tuple`` forces forward (the escape hatch),
         out-of-tractability instances go backward (the forward engine
         would raise :class:`~repro.errors.ClassViolationError`), and
-        in-tractability instances compare the two key-cost models.  The
-        worker pool resolves the method here *before* fanning out, so
-        every worker computes the right engine's tables.
+        in-tractability instances compare the two key-cost models.
+        :meth:`typecheck_sharded` resolves the method here *before*
+        fanning out and hands it to the callback, so every worker computes
+        the right engine's tables.
         """
         shardable = [engine.name for engine in shardable_engines()]
         if method != "auto":
@@ -863,7 +839,6 @@ class Session:
         compute_shards,
         shards: int = 2,
         max_tuple: Optional[int] = None,
-        planner: str = "cost",
         method: str = "forward",
         explain: bool = False,
         **kwargs,
@@ -872,59 +847,45 @@ class Session:
 
         ``explain=True`` attaches a :class:`repro.obs.explain.QueryReport`
         as ``result.report`` — the shard section carries the plan
-        (planner, predicted loads, measured per-shard walls, spread) and,
-        when the workers run with kernel metrics enabled, each shard's
-        own kernel counters (``shard_kernel``); the top-level kernel
-        section covers the serving process (plan + merge + final scan).
+        (predicted loads, measured per-shard walls, spread) and, when the
+        workers run with kernel metrics enabled, each shard's own kernel
+        counters (``shard_kernel``); the top-level kernel section covers
+        the serving process (plan + merge + final scan).
 
         ``method`` picks the engine to shard: ``"forward"`` (default, the
         original fan-out) partitions the hedge-cell check keys,
         ``"backward"`` partitions the per-input-symbol product cells, and
         ``"auto"`` resolves through :meth:`shard_method` (the cost-model
-        routing).  ``compute_shards(partitions)`` maps a list of key
-        partitions to the list of their table snapshots — the worker pool
-        fans the partitions out across processes (each holding a warm
-        session for this pair); tests pass a sequential implementation.
-        A callback taking a second positional parameter receives the
-        *resolved* method too (``compute_shards(partitions, method)``),
-        which ``method="auto"`` callers need to compute the right engine's
-        tables.  The merged tables then drive the root-check scan and
-        counterexample construction here, so the verdict is exactly the
-        unsharded engine's — the shards compute complete per-cell least
-        fixpoints and the merge unions disjoint cells.  Partitioning never
-        affects the verdict, only the balance, so the planner choice is a
-        pure scheduling knob.
+        routing) — here, once per query.  ``compute_shards(partitions,
+        method)`` maps a list of key partitions to the list of their table
+        snapshots, computed with the *resolved* engine ``method`` — the
+        worker pool fans the partitions out across processes (each holding
+        a warm session for this pair); tests pass a sequential
+        implementation.  The merged tables then drive the root-check scan
+        and counterexample construction here, so the verdict is exactly
+        the unsharded engine's — the shards compute complete per-cell
+        least fixpoints and the merge unions disjoint cells.
 
-        ``planner`` selects the partitioner: ``"cost"`` (default)
-        LPT-packs keys by their predicted cell cost (forward: tuple seeds
-        plus amortized closure DFA sizes, see
+        Partitioning never affects the verdict, only the balance.  The
+        keys are LPT-packed by their predicted cell cost (forward: tuple
+        seeds plus amortized closure DFA sizes, see
         :func:`repro.core.forward.forward_key_costs`; backward:
         ``n_in_states × behavior-monoid``, see
-        :func:`repro.backward.backward_key_costs`); ``"profile"``
-        LPT-packs by *measured* per-key worker seconds fed back from the
-        previous sharded run of an equal-content transducer on this warm
-        pair, falling back to the cost model on first sight —
-        ``stats["shard_profile"]`` records which source planned the run;
-        ``"round-robin"`` is the blind positional split, kept for
-        benchmarking the planners against.  Per-shard wall times come back
-        in ``result.stats["shard_wall_s"]`` with the planner's predicted
-        loads in ``stats["shard_costs"]``, so the balance is observable.
-        Sharded runs record each key's *measured* fixpoint seconds
-        (``key_elapsed_s``, timed per cell on the worker) for the next
-        ``planner="profile"`` plan; when a snapshot predates per-key
-        timing, the shard wall time is attributed to its keys
-        proportionally to the model as before.
+        :func:`repro.backward.backward_key_costs`).  Per-shard wall times
+        come back in ``result.stats["shard_wall_s"]`` with the predicted
+        loads in ``stats["shard_costs"]``, so the balance is observable;
+        per-key measured seconds stay on each worker's ``fixpoint`` span.
         """
         if not explain:
             return self._typecheck_sharded_impl(
-                transducer, compute_shards, shards, max_tuple, planner,
-                method, **kwargs
+                transducer, compute_shards, shards, max_tuple, method,
+                **kwargs
             )
         with _explain.query_scope() as scope:
             start = time.perf_counter()
             result = self._typecheck_sharded_impl(
-                transducer, compute_shards, shards, max_tuple, planner,
-                method, **kwargs
+                transducer, compute_shards, shards, max_tuple, method,
+                **kwargs
             )
             measured_ms = (time.perf_counter() - start) * 1e3
         with self._lock:
@@ -945,60 +906,25 @@ class Session:
         self,
         transducer: TreeTransducer,
         compute_shards,
-        shards: int = 2,
-        max_tuple: Optional[int] = None,
-        planner: str = "cost",
-        method: str = "forward",
+        shards: int,
+        max_tuple: Optional[int],
+        method: str,
         **kwargs,
     ) -> TypecheckResult:
         from repro.core.forward import plan_forward_shards
 
-        with _trace.span("shard_plan", planner=planner) as plan_span:
+        with _trace.span("shard_plan") as plan_span:
             method = self.shard_method(transducer, method, max_tuple)
             engine = get_engine(method)
             if not engine.accepts_max_tuple:
                 _reject_max_tuple(method, max_tuple)
             keys = self.check_keys(transducer, method)
-            shards = max(1, min(int(shards), max(1, len(keys))))
-            loads: Optional[List[float]] = None
-            plan_costs: Optional[List[float]] = None
-            profile_source: Optional[str] = None
-            if planner == "round-robin":
-                partitions: List[List] = [
-                    keys[index::shards] for index in range(shards)
-                ]
-            elif planner in ("cost", "profile"):
-                with self._lock:
-                    plan_costs = list(
-                        engine.key_costs(self, transducer, keys)
-                    )
-                    plan_schema = engine.schema(self)
-                    if planner == "profile":
-                        profile = plan_schema.shard_profile(
-                            transducer.content_hash()
-                        )
-                        if profile is not None:
-                            # Measured costs for the keys seen last time;
-                            # the model covers any key the profile has not
-                            # (the LPT only needs relative weights).
-                            plan_costs = [
-                                profile.get(key, cost)
-                                for key, cost in zip(keys, plan_costs)
-                            ]
-                            profile_source = "measured"
-                        else:
-                            profile_source = "model"
-                partitions, loads = plan_forward_shards(
-                    keys, plan_costs, shards
-                )
-            else:
-                raise ValueError(
-                    f"unknown shard planner {planner!r}; "
-                    "valid: cost, profile, round-robin"
-                )
+            with self._lock:
+                costs = engine.key_costs(self, transducer, keys)
+            partitions, loads = plan_forward_shards(keys, costs, shards)
             plan_span.set(method=method, keys=len(keys), shards=len(partitions))
         engine.validate_kwargs(kwargs)
-        snapshots = _call_compute_shards(compute_shards, partitions, method)
+        snapshots = compute_shards(partitions, method)
         # Per-shard kernel counters ride the snapshots under a key the
         # mergers ignore; pop them before merging so the explain report
         # can attribute work shard by shard.
@@ -1007,32 +933,17 @@ class Session:
             for snapshot in snapshots
             if isinstance(snapshot, dict)
         ]
-        with _trace.span("merge", method=method) as merge_span:
+        with _trace.span("merge", method=method, shards=len(partitions)):
             tables = engine.merge_tables(snapshots)
             shard_wall = tables.pop("shard_elapsed_s", None)
-            key_elapsed = tables.pop("key_elapsed_s", None)
-            merge_span.set(shards=len(partitions))
-            if key_elapsed:
-                # Per-key measured fixpoint seconds — previously popped and
-                # visible only to the profile planner; now on the span too.
-                merge_span.set(
-                    key_elapsed_s={
-                        str(key): round(float(elapsed), 6)
-                        for key, elapsed in key_elapsed.items()
-                    }
-                )
             with self._lock:
                 self.stats["calls"] = int(self.stats["calls"]) + 1
                 result = engine.typecheck(
                     self, transducer, max_tuple, kwargs, tables=tables
                 )
         result.stats["shards"] = len(partitions)
-        result.stats["shard_planner"] = planner
         result.stats["shard_method"] = method
-        if profile_source is not None:
-            result.stats["shard_profile"] = profile_source
-        if loads is not None:
-            result.stats["shard_costs"] = list(loads)
+        result.stats["shard_costs"] = list(loads)
         if shard_wall:
             result.stats["shard_wall_s"] = [round(s, 6) for s in shard_wall]
             result.stats["shard_spread"] = round(
@@ -1042,39 +953,6 @@ class Session:
             result.stats["shard_kernel"] = [
                 counters or {} for counters in shard_kernel
             ]
-        # Feed the measurement back for the next planner="profile" run of
-        # this transducer on this pair.  Workers time each key's fixpoint
-        # individually now, so the profile is measured truth per key; the
-        # proportional smear over the shard wall time survives only as the
-        # fallback for snapshots that predate per-key timing.
-        profile_out: Dict[object, float] = {}
-        if key_elapsed:
-            assigned = set(keys)
-            profile_out = {
-                key: float(elapsed)
-                for key, elapsed in key_elapsed.items()
-                if key in assigned
-            }
-        elif (
-            shard_wall
-            and plan_costs is not None
-            and len(shard_wall) == len(partitions)
-        ):
-            cost_by_key = dict(zip(keys, plan_costs))
-            for wall, partition in zip(shard_wall, partitions):
-                total = sum(cost_by_key[key] for key in partition)
-                if total <= 0:
-                    total = len(partition) or 1
-                    weights = {key: 1 for key in partition}
-                else:
-                    weights = cost_by_key
-                for key in partition:
-                    profile_out[key] = wall * weights[key] / total
-        if profile_out:
-            with self._lock:
-                engine.schema(self).record_shard_profile(
-                    transducer.content_hash(), profile_out
-                )
         return result
 
     def counterexample_nta(

@@ -35,6 +35,8 @@ Entry points: ``python -m repro serve`` (CLI), :func:`run_server`
 from __future__ import annotations
 
 import asyncio
+import signal
+import sys
 import time
 from typing import Dict, Optional, Set
 
@@ -799,6 +801,15 @@ def run_server(
     """Blocking entry point behind ``python -m repro serve``."""
 
     async def main() -> None:
+        # SIGTERM takes the same way out as Ctrl-C: stop serving, then
+        # close the pool so its workers exit with the server.  Without
+        # this the default action kills the server before ``finally``
+        # runs and leaves the spawned workers orphaned.
+        stop = asyncio.Event()
+        if sys.platform != "win32":
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, stop.set
+            )
         service, pool = await serve(
             host,
             port,
@@ -818,7 +829,7 @@ def run_server(
             slow_log_max_bytes=slow_log_max_bytes,
         )
         try:
-            await asyncio.Event().wait()  # serve forever
+            await stop.wait()  # serve until SIGTERM (or Ctrl-C)
         finally:
             await service.close()
             pool.close()

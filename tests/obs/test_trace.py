@@ -123,7 +123,12 @@ class TestRouterAudit:
     def test_record_and_read_back(self, sink):
         from repro.obs import record_router_decision, router_audit
 
-        record_router_decision("backward", 12.5, 0.4, 0.9, transducer="cafe")
+        record_router_decision(
+            "backward",
+            actual_ms=0.9,
+            predicted_ms={"forward": 12.5, "backward": 0.4},
+            transducer="cafe",
+        )
         entries = router_audit()
         assert entries and entries[-1]["choice"] == "backward"
         assert entries[-1]["predicted_forward_ms"] == 12.5

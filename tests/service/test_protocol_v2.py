@@ -231,20 +231,15 @@ class TestStickyPairs:
 
 
 class TestV1Fallback:
-    def test_handle_falls_back_against_old_server(self, client, monkeypatch):
-        """A pre-v2 server rejects the version probe; the handle flips to
-        v1 framing and still answers correctly."""
+    def test_handle_rejected_by_old_server_raises(self, client, monkeypatch):
+        """A pre-v2 server rejects the pin; the handle does not fall back
+        to v1 framing, the rejection reaches the caller."""
         monkeypatch.setattr(protocol, "SUPPORTED_VERSIONS", frozenset({1}))
-        transducer, din, dout, expected = nd_bc_family(5)
+        transducer, din, dout, _ = nd_bc_family(5)
         handle = client.pair(din, dout)
-        result = handle.typecheck(transducer, method="forward")
-        assert result["typechecks"] == expected
-        assert handle.v1_fallback is True
+        with pytest.raises(ProtocolError):
+            handle.typecheck(transducer, method="forward")
         assert handle.pair_id is None
-        # batches use v1 framing too
-        transducers, din2, dout2, exp2 = nd_bc_batch(4, 3)
-        batch = client.pair(din2, dout2).typecheck_many(transducers)
-        assert [item["typechecks"] for item in batch] == [exp2] * 3
 
     def test_v1_clients_still_served_by_v2_server(self, client):
         # v1 framing (no "v" field) straight through the v2 server

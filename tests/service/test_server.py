@@ -1,6 +1,8 @@
 """TCP front-end: protocol round-trips, batch smoke, the serve CLI."""
 
 import asyncio
+import os
+import signal
 import subprocess
 import sys
 import threading
@@ -126,6 +128,43 @@ class TestBatchSmoke:
         assert stats["completed"] >= 20
 
 
+def _proc_stat(pid: int):
+    """``(state, ppid)`` of a live process from ``/proc``, else ``None``."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    fields = stat.rsplit(")", 1)[1].split()
+    return fields[0], int(fields[1])
+
+
+def _alive(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _spawned_children(parent: int):
+    """Pids of ``parent``'s multiprocessing-spawn children, or ``None``
+    where ``/proc`` is not available."""
+    proc = Path("/proc")
+    if not (proc / "self" / "stat").exists():
+        return None
+    children = []
+    for entry in proc.iterdir():
+        if not entry.name.isdigit():
+            continue
+        stat = _proc_stat(int(entry.name))
+        if stat is None or stat[1] != parent:
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue
+        if b"spawn_main" in cmdline:
+            children.append(int(entry.name))
+    return children
+
+
 class TestServeCommand:
     def test_python_m_repro_serve_round_trip(self, tmp_path):
         """End to end through the real CLI: spawn ``python -m repro serve``,
@@ -146,6 +185,7 @@ class TestServeCommand:
                 "HOME": str(tmp_path),
             },
         )
+        workers = None
         try:
             line = process.stdout.readline()
             assert "listening on" in line, line
@@ -162,9 +202,21 @@ class TestServeCommand:
                         raise
                     time.sleep(0.2)
             assert result["typechecks"] == expected
+            workers = _spawned_children(process.pid)
         finally:
             process.terminate()
             try:
                 process.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 process.kill()
+        if workers is not None:
+            # SIGTERM shuts the pool down with the server: no worker may
+            # outlive it as an orphan.
+            assert workers
+            deadline = time.time() + 5
+            while any(map(_alive, workers)) and time.time() < deadline:
+                time.sleep(0.1)
+            survivors = [pid for pid in workers if _alive(pid)]
+            for pid in survivors:
+                os.kill(pid, signal.SIGKILL)
+            assert not survivors

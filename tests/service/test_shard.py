@@ -28,7 +28,8 @@ def _sequential_shards(session):
     computed against a *fresh* schema context and shipped through pickle,
     exactly as a worker would."""
 
-    def compute(partitions):
+    def compute(partitions, method):
+        assert method == "forward"
         shards = []
         for partition in partitions:
             din, dout = session.sin, session.sout
@@ -43,6 +44,17 @@ def _sequential_shards(session):
         return shards
 
     return compute
+
+
+def _positional(compute, shards):
+    """``compute`` behind a blind positional re-split of the flattened
+    plan — the round-robin partition, for partition-invariance checks."""
+
+    def resplit(partitions, method):
+        keys = [key for partition in partitions for key in partition]
+        return compute([keys[index::shards] for index in range(shards)], method)
+
+    return resplit
 
 
 class TestShardMergeEqualsUnsharded:
@@ -67,7 +79,7 @@ class TestShardMergeEqualsUnsharded:
     def test_seeded_instances_verdicts_bit_identical(self, chunk):
         """Sharded verdicts equal unsharded across the shared 200-seed
         equivalence generator (the in-trac slice) — under the LPT cost
-        planner, with the round-robin partitioner spot-checked alongside
+        planner, with a round-robin partition spot-checked alongside
         (partitioning must never affect the verdict)."""
         for seed in range(chunk * 50, (chunk + 1) * 50):
             transducer, din, dout = seeded_instance(seed)
@@ -78,7 +90,7 @@ class TestShardMergeEqualsUnsharded:
             compute = _sequential_shards(session)
             compute._transducer = transducer
             sharded = session.typecheck_sharded(transducer, compute, shards=2)
-            assert sharded.stats.get("shard_planner") == "cost", f"seed {seed}"
+            assert sharded.stats.get("shard_method") == "forward", f"seed {seed}"
             assert sharded.typechecks == unsharded.typechecks, f"seed {seed}"
             assert sharded.stats.get("violations") == unsharded.stats.get(
                 "violations"
@@ -89,7 +101,7 @@ class TestShardMergeEqualsUnsharded:
                 )
             if seed % 10 == 0:
                 rr = session.typecheck_sharded(
-                    transducer, compute, shards=2, planner="round-robin"
+                    transducer, _positional(compute, 2), shards=2
                 )
                 assert rr.typechecks == unsharded.typechecks, f"seed {seed}"
                 assert rr.stats.get("violations") == unsharded.stats.get(
@@ -188,18 +200,39 @@ class TestShardPlanner:
         compute._transducer = transducer
         result = session.typecheck_sharded(transducer, compute, shards=3)
         assert result.stats["shards"] == 3
-        assert result.stats["shard_planner"] == "cost"
         assert len(result.stats["shard_costs"]) == 3
         assert len(result.stats["shard_wall_s"]) == 3
         assert all(wall >= 0 for wall in result.stats["shard_wall_s"])
         assert result.stats["shard_spread"] >= 1.0
 
-    def test_unknown_planner_rejected(self):
+    def test_retired_shard_profiles_section_still_loads(self):
+        """Artifact blobs written before the profile planner was retired
+        carry a ``shard_profiles`` section per schema; restoring ignores
+        it, and fresh exports no longer write it."""
+        transducer, din, dout, expected = nd_bc_family(6)
+        session = Session(din, dout, eager=False)
+        compute = _sequential_shards(session)
+        compute._transducer = transducer
+        session.typecheck_sharded(transducer, compute, shards=2)
+        session.backward_schema()
+        artifacts = session.export_artifacts()
+        for name in ("forward", "backward"):
+            assert "shard_profiles" not in artifacts[name]
+            artifacts[name]["shard_profiles"] = {
+                transducer.content_hash(): {"stale": 1.0}
+            }
+        restored = Session.from_artifacts(artifacts)
+        result = restored.typecheck_sharded(transducer, compute, shards=2)
+        assert result.typechecks == expected
+
+    def test_planner_option_rejected(self):
+        """LPT is the only planner: a ``planner`` option is an unknown
+        option like any other, not a scheduling choice."""
         transducer, din, dout, _ = nd_bc_family(4)
         session = Session(din, dout, eager=False)
-        with pytest.raises(ValueError, match="unknown shard planner"):
+        with pytest.raises(TypeError, match="planner"):
             session.typecheck_sharded(
-                transducer, lambda partitions: [], planner="magic"
+                transducer, lambda partitions, method: [], planner="magic"
             )
 
 
@@ -247,4 +280,23 @@ class TestPoolSharding:
             din, dout, transducer, shards=2, method="auto"
         )
         assert result.typechecks == expected is True
+        assert result.stats["shard_method"] in ("forward", "backward")
+
+    def test_pool_sharded_resolves_the_method_once(self, shared_pool, monkeypatch):
+        """The session resolves ``"auto"`` once per sharded query and hands
+        the resolved engine to the pool's fan-out callback."""
+        calls = []
+        resolve = Session.shard_method
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return resolve(self, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "shard_method", counting)
+        transducer, din, dout, expected = nd_bc_family(6, typechecks=False)
+        result = shared_pool.typecheck_sharded(
+            din, dout, transducer, shards=2, method="auto"
+        )
+        assert len(calls) == 1
+        assert result.typechecks == expected
         assert result.stats["shard_method"] in ("forward", "backward")
