@@ -1,62 +1,14 @@
 #!/usr/bin/env python
-"""Old-vs-new benchmark for the ``repro.kernel`` interned-state automata
-kernel, seeding the repo's perf trajectory.
+"""Gated benchmark harness: the paper's engines against each other and
+against their reference baselines.
 
-Times the seed object-state implementations retained in
-:mod:`repro.kernel.reference` against the interned kernel on DFA/NTA
-micro-workloads, times the forward engine (``typecheck_forward``, which
-has a single interned implementation and so no baseline row) on the
-``workloads/families.py`` scaling families, verifies every result, and
-writes ``BENCH_kernel.json`` at the repo root.
-
-The warm-vs-cold *session* family (compiled ``Session`` batches vs fresh
-per-call pipelines, plus the registry-backed one-shot repeat) is measured
-alongside and written to ``BENCH_session.json``.
-
-The *backward* family (PR 5) races the inverse-type-inference engine
-(``repro.backward``, ``method="backward"``) against the forward engine on
-the same workload families plus the wide-copy/small-output family built
-for it, asserting verdict parity on both polarities of every row, and
-writes ``BENCH_backward.json``; the smoke gate bounds the backward
-engine's slowdown on the forward-friendly family and requires it to beat
-forward on the wide-copy family.
-
-The *auto* family (PR 6) scores the ``method="auto"`` router: the
-calibrated cost comparison resolves forward vs backward per instance and
-the routed engine races both explicit engines; ``BENCH_auto.json``
-records the predictions and the over-best ratio, and the smoke gate
-fails if auto loses more than ~1.2x to the better engine on ``nd_bc`` or
-``wide_copy``.
-
-The *service* family (PR 3) measures the multi-process worker pool on the
-``nd_bc_batch`` workload — batch throughput with 1/2/4 workers against the
-in-process session baseline, the per-transducer table-cache repeat, and a
-sharded single query — and writes ``BENCH_service.json``.  Multi-worker
-speedups are hardware-bound: the file records ``cpu_count`` and the smoke
-gate adapts (on a single-CPU runner it only asserts bounded pool overhead
-and correctness; with >= 2 CPUs it requires a real 2-worker speedup).
-
-The *incremental* family (PR 7) races ``Session.retypecheck`` — the
-incremental re-check behind the ``repro.updates`` edit-script workloads —
-against from-scratch re-checks of the same single-rule edits on the
-edit-arm family, asserting verdict parity with a cold session on both
-polarities of every edit, and writes ``BENCH_incremental.json``; the
-smoke gate requires the incremental path to beat the from-scratch
-re-check by a real margin.
-
-The *obs* family (PR 8) prices the ``repro.obs`` telemetry layer on the
-``nd_bc`` forward family: ``plain_s`` patches the span seam out entirely
-(no instrumentation at all), ``off_s`` runs the shipped disabled path
-(null-span check, unmetered kernel drain), and ``on_s`` runs with a live
-JSON-lines trace sink plus the metered kernel drain.  The rows land in
-``BENCH_obs.json``; the smoke gate bounds ``off_over_plain`` — what
-every untelemetered caller pays for the hooks existing — at
-:data:`OBS_SMOKE_MAX_OVERHEAD`, while ``on_over_off`` is informational.
-
-``--only FAMILY`` (repeatable, comma-separated) restricts a run to the
-named families.  Output files are merged *in place*: only the row groups
-that actually re-ran replace their old sections, so a partial run
-refreshes stale BENCH_*.json sections without truncating the rest.
+Every bench family (the ``--only`` choices) is one :data:`FAMILIES` entry:
+the BENCH_*.json file it writes, its smoke and full runners (the
+``bench_*`` row functions at fixed sizes; each function's docstring says
+what its rows measure) and its smoke gate.  Output files are merged *in
+place*: only the row groups that re-ran replace their old sections, so a
+partial run refreshes stale sections without truncating the rest.  Every
+file records the host it ran on.
 
 Usage::
 
@@ -64,27 +16,26 @@ Usage::
     python benchmarks/bench_kernel.py --only incremental,session
                                                  # refresh two families,
                                                  # keep other sections
-    python benchmarks/bench_kernel.py --smoke    # CI guard: fails (exit 1)
-                                                 # if a DFA/NTA kernel row
-                                                 # is slower than its
-                                                 # reference.py baseline,
-                                                 # a warm
-                                                 # session fails to beat
-                                                 # cold setup, the worker
-                                                 # pool misses its
-                                                 # (cpu-adaptive) gate, or
-                                                 # incremental re-checking
-                                                 # fails to beat
-                                                 # from-scratch
+    python benchmarks/bench_kernel.py --smoke    # CI guard: exit 1 if any
+                                                 # family's gate fails
+    python benchmarks/bench_kernel.py --smoke --out-dir "$(mktemp -d)"
+                                                 # leave the checked-in
+                                                 # BENCH_*.json untouched
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import operator
+import os
+import platform
 import sys
 import time
+from functools import partial
 from pathlib import Path
+from typing import Callable, List, NamedTuple, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -146,14 +97,6 @@ OBS_SMOKE_MAX_OVERHEAD = 1.05
 # ~0.3x of from-scratch; 0.8x keeps the gate meaningful without flaking.
 INCREMENTAL_SMOKE_MAX_RATIO = 0.8
 
-# ``--only`` choices; each family owns the BENCH_*.json row groups it
-# re-runs (forward/dfa/nta share BENCH_kernel.json, service covers every
-# service-* group).
-FAMILIES = (
-    "forward", "dfa", "nta", "backward", "auto", "session", "service",
-    "incremental", "obs",
-)
-
 
 def best_of(fn, repeat: int) -> float:
     """Best-of-``repeat`` wall time in seconds (min is robust to noise)."""
@@ -161,6 +104,17 @@ def best_of(fn, repeat: int) -> float:
     for _ in range(repeat):
         start = time.perf_counter()
         fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def best_over(run, inputs) -> float:
+    """Best wall time of ``run(item)`` over distinct ``inputs``, each timed
+    once (distinct inputs keep per-item caches from serving a repeat)."""
+    times = []
+    for item in inputs:
+        start = time.perf_counter()
+        run(item)
         times.append(time.perf_counter() - start)
     return min(times)
 
@@ -446,10 +400,8 @@ def bench_service(results, sizes, repeat: int, worker_counts) -> None:
     repeat served from the per-transducer table cache is measured
     separately as ``table_cache_speedup``.
     """
-    import os
     import tempfile
 
-    from repro.core.session import clear_registry
     from repro.service.pool import WorkerPool
 
     cpu_count = os.cpu_count() or 1
@@ -457,15 +409,7 @@ def bench_service(results, sizes, repeat: int, worker_counts) -> None:
         batches = [_variant_batch(n, k, offset=r * k) for r in range(repeat + 1)]
         _, din, dout, expected = batches[0]
 
-        def time_batches(run) -> float:
-            """Best wall time of ``run`` over the distinct timed batches."""
-            times = []
-            for transducers, _din, _dout, _exp in batches[1:]:
-                start = time.perf_counter()
-                run(transducers)
-                times.append(time.perf_counter() - start)
-            return min(times)
-
+        timed_batches = [transducers for transducers, *_rest in batches[1:]]
         clear_registry()
         session = Session(din, dout)
 
@@ -474,7 +418,7 @@ def bench_service(results, sizes, repeat: int, worker_counts) -> None:
                 assert result.typechecks == expected
 
         in_process(batches[0][0])  # warm the schema artifacts
-        base_s = time_batches(in_process)
+        base_s = best_over(in_process, timed_batches)
         # identical repeat: every item now hits the table cache
         repeat_s = best_of(lambda: in_process(batches[1][0]), repeat)
 
@@ -502,7 +446,7 @@ def bench_service(results, sizes, repeat: int, worker_counts) -> None:
                             assert result.typechecks == expected
 
                     served(batches[0][0])  # warm every worker's session
-                    pool_s = time_batches(served)
+                    pool_s = best_over(served, timed_batches)
                     row["workers"][str(workers)] = {
                         "batch_s": pool_s,
                         "throughput_per_s": k / pool_s,
@@ -719,8 +663,6 @@ def bench_shard_plan(results, width: int, arms: int, repeat: int, shards: int) -
 
 def bench_service_shard(results, n: int, repeat: int, shards: int) -> None:
     """A single query with its forward fixpoint sharded across the pool."""
-    import os
-
     from repro.service.pool import WorkerPool
 
     transducer, din, dout, expected = nd_bc_family(n)
@@ -802,20 +744,14 @@ def bench_incremental(results, sizes, repeat: int) -> None:
             for i in range(min(repeat, arms))
         ]
 
-        def timed(run) -> float:
-            times = []
-            for edited in variants:
-                start = time.perf_counter()
-                run(edited)
-                times.append(time.perf_counter() - start)
-            return min(times)
-
-        incremental_s = timed(
-            lambda e: warm.retypecheck(e, base, method="forward")
+        incremental_s = best_over(
+            lambda e: warm.retypecheck(e, base, method="forward"), variants
         )
-        scratch_s = timed(lambda e: scratch.typecheck(e, method="forward"))
-        cold_s = timed(
-            lambda e: Session(din, dout).typecheck(e, method="forward")
+        scratch_s = best_over(
+            lambda e: scratch.typecheck(e, method="forward"), variants
+        )
+        cold_s = best_over(
+            lambda e: Session(din, dout).typecheck(e, method="forward"), variants
         )
         detail = warm.retypecheck(
             edit_arm_transducer(arms, edited=0, variant="unsafe"), base,
@@ -844,6 +780,34 @@ def bench_incremental(results, sizes, repeat: int) -> None:
         )
 
 
+
+def _obs_row(name: str, family: str, n: int, variants, repeat: int) -> dict:
+    """One ``obs`` row from ``(variant, seam, run)`` triples timed
+    round-robin within every repetition; only ``run`` is inside the timed
+    region, under the context manager ``seam()``."""
+    times = {variant: [] for variant, _seam, _run in variants}
+    for _ in range(repeat):
+        for variant, seam, run in variants:
+            with seam():
+                start = time.perf_counter()
+                run()
+                times[variant].append(time.perf_counter() - start)
+    plain_s = min(times["plain"])
+    off_s = min(times["off"])
+    on_s = min(times["on"])
+    return {
+        "group": "obs",
+        "name": name,
+        "family": family,
+        "n": n,
+        "plain_s": plain_s,
+        "off_s": off_s,
+        "on_s": on_s,
+        "off_over_plain": off_s / plain_s,
+        "on_over_off": on_s / off_s,
+    }
+
+
 def bench_obs(results, sizes, repeat: int) -> None:
     """Telemetry overhead on the forward engine: patched-out vs off vs on.
 
@@ -864,7 +828,6 @@ def bench_obs(results, sizes, repeat: int) -> None:
     timing lets host-load drift masquerade as a telemetry cost (or
     credit) several times larger than the real sub-1% delta.
     """
-    import contextlib
     import tempfile
 
     from repro.obs import metrics as obs_metrics
@@ -907,37 +870,14 @@ def bench_obs(results, sizes, repeat: int) -> None:
         def run():
             typecheck_forward(transducer, din, dout)
 
-        times = {"plain": [], "off": [], "on": []}
         with tempfile.TemporaryDirectory() as sink_dir:
             sink_path = str(Path(sink_dir) / "bench_trace.jsonl")
             variants = (
-                ("plain", patched_out),
-                ("off", disabled),
-                ("on", lambda: enabled(sink_path)),
+                ("plain", patched_out, run),
+                ("off", disabled, run),
+                ("on", lambda: enabled(sink_path), run),
             )
-            for _ in range(repeat):
-                for variant, seam in variants:
-                    with seam():
-                        start = time.perf_counter()
-                        run()
-                        times[variant].append(time.perf_counter() - start)
-        plain_s = min(times["plain"])
-        off_s = min(times["off"])
-        on_s = min(times["on"])
-
-        results.append(
-            {
-                "group": "obs",
-                "name": f"{name}({n})",
-                "family": name,
-                "n": n,
-                "plain_s": plain_s,
-                "off_s": off_s,
-                "on_s": on_s,
-                "off_over_plain": off_s / plain_s,
-                "on_over_off": on_s / off_s,
-            }
-        )
+            results.append(_obs_row(f"{name}({n})", name, n, variants, repeat))
 
     # The explain seam (PR 10): ``Session.typecheck(explain=False)`` must
     # cost no more than calling the unwrapped check directly.  ``plain``
@@ -957,33 +897,34 @@ def bench_obs(results, sizes, repeat: int) -> None:
                 session._typecheck(transducer, "auto", None)
 
         variants = (
-            ("plain", plain_run),
-            ("off", lambda: session.typecheck(transducer)),
-            ("on", lambda: session.typecheck(transducer, explain=True)),
+            ("plain", contextlib.nullcontext, plain_run),
+            ("off", contextlib.nullcontext,
+             lambda: session.typecheck(transducer)),
+            ("on", contextlib.nullcontext,
+             lambda: session.typecheck(transducer, explain=True)),
         )
-        times = {"plain": [], "off": [], "on": []}
-        for _ in range(repeat):
-            for variant, run in variants:
-                start = time.perf_counter()
-                run()
-                times[variant].append(time.perf_counter() - start)
-        plain_s = min(times["plain"])
-        off_s = min(times["off"])
-        on_s = min(times["on"])
-
         results.append(
-            {
-                "group": "obs",
-                "name": f"{name}_explain({n})",
-                "family": name,
-                "n": n,
-                "plain_s": plain_s,
-                "off_s": off_s,
-                "on_s": on_s,
-                "off_over_plain": off_s / plain_s,
-                "on_over_off": on_s / off_s,
-            }
+            _obs_row(f"{name}_explain({n})", name, n, variants, repeat)
         )
+
+
+def _host() -> dict:
+    """The machine a BENCH file was measured on."""
+    cpu_model = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as cpuinfo:
+            for line in cpuinfo:
+                if line.startswith("model name"):
+                    cpu_model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "cpu_model": cpu_model,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
 
 
 def _merge_bench(path: Path, new_rows, mode: str, repeat: int, summarize) -> None:
@@ -1005,20 +946,385 @@ def _merge_bench(path: Path, new_rows, mode: str, repeat: int, summarize) -> Non
     ran_groups = {row["group"] for row in new_rows}
     merged = [row for row in existing if row.get("group") not in ran_groups]
     merged += new_rows
-    summary = {"mode": mode, "repeat": repeat}
+    summary = {"mode": mode, "repeat": repeat, "host": _host()}
     summary.update(summarize(merged))
     summary["benchmarks"] = merged
     path.write_text(json.dumps(summary, indent=2) + "\n")
 
 
+# Summaries: one per output file, recomputed over its merged rows.
+def kernel_summary(rows):
+    forward = [r for r in rows if r["group"] == "forward"]
+    if not forward:
+        return {}
+    largest = max(forward, key=lambda r: (r["n"], r["kernel_s"]))
+    return {
+        "largest_forward": largest["name"],
+        "largest_forward_s": largest["kernel_s"],
+    }
+
+
+def session_summary(rows):
+    largest = max(rows, key=lambda r: (r["n"], r["cold_s"]))
+    return {
+        "largest_batch": largest["name"],
+        "largest_batch_warm_speedup": largest["speedup"],
+    }
+
+
+def service_summary(rows):
+    best_scaling = max(
+        (
+            (data.get("speedup_vs_1_worker", 0.0), workers, row["name"])
+            for row in rows if row["group"] == "service"
+            for workers, data in row["workers"].items() if workers != "1"
+        ),
+        default=None,
+    )
+    return {
+        "note": (
+            "multi-worker speedups are bounded by cpu_count: on a "
+            "single-CPU host the workers time-slice one core and the "
+            "pool can only match (not beat) one worker"
+        ),
+        "best_multi_worker_speedup": (
+            None if best_scaling is None else {
+                "speedup_vs_1_worker": best_scaling[0],
+                "workers": int(best_scaling[1]),
+                "family": best_scaling[2],
+            }
+        ),
+    }
+
+
+def backward_summary(rows):
+    best = min(rows, key=lambda r: r["backward_over_forward"])
+    return {
+        "note": (
+            "backward_over_forward < 1 means the inverse-type-inference "
+            "engine beats the Lemma 14 forward engine on the family; "
+            "verdicts are asserted identical on every row (both "
+            "polarities) before timing"
+        ),
+        "best_family": best["name"],
+        "best_backward_over_forward": best["backward_over_forward"],
+    }
+
+
+def auto_summary(rows):
+    worst = max(rows, key=lambda r: r["auto_over_best"])
+    return {
+        "note": (
+            "auto_over_best is the routed engine's wall time over the "
+            "faster explicit engine's: 1.0 means the calibrated cost "
+            "comparison picked the winner; the smoke gate bounds it at "
+            f"{AUTO_SMOKE_MAX_OVER_BEST}x on nd_bc and wide_copy.  The "
+            "routing decision itself is memoized per transducer "
+            "(routing_warm_s is the steady-state price)"
+        ),
+        "worst_family": worst["name"],
+        "worst_auto_over_best": worst["auto_over_best"],
+    }
+
+
+def incremental_summary(rows):
+    worst = max(rows, key=lambda r: r["incremental_over_scratch"])
+    return {
+        "note": (
+            "incremental_over_scratch is Session.retypecheck's wall "
+            "time over a from-scratch re-check of the same single-rule "
+            "edit on an equally schema-warmed session "
+            "(incremental_over_cold races a fresh session instead); "
+            "verdict parity with a cold session is asserted on both "
+            "polarities of every edit before timing; the smoke gate "
+            f"bounds the worst ratio at {INCREMENTAL_SMOKE_MAX_RATIO}x"
+        ),
+        "worst_family": worst["name"],
+        "worst_incremental_over_scratch": worst["incremental_over_scratch"],
+    }
+
+
+def obs_summary(rows):
+    worst = max(rows, key=lambda r: r["off_over_plain"])
+    return {
+        "note": (
+            "off_over_plain is the shipped disabled telemetry path "
+            "(null spans, unmetered kernel drain) over a run with the "
+            "span seam patched out entirely — the price of the hooks "
+            "existing, which the smoke gate bounds at "
+            f"{OBS_SMOKE_MAX_OVERHEAD}x; on_over_off is what enabling "
+            "the trace sink and metered kernel drain actually costs "
+            "and is informational; *_explain rows price the "
+            "Session.typecheck explain seam the same way (off = "
+            "explain=False default path, on = full QueryReport)"
+        ),
+        "worst_family": worst["name"],
+        "worst_off_over_plain": worst["off_over_plain"],
+    }
+
+
+SUMMARIES = {
+    "BENCH_kernel.json": kernel_summary,
+    "BENCH_session.json": session_summary,
+    "BENCH_service.json": service_summary,
+    "BENCH_backward.json": backward_summary,
+    "BENCH_auto.json": auto_summary,
+    "BENCH_incremental.json": incremental_summary,
+    "BENCH_obs.json": obs_summary,
+}
+
+
+# Smoke gates map a family's smoke rows to its failure messages; they
+# read the threshold constants at call time.
+_FAILS = {"<": operator.lt, ">": operator.gt, ">=": operator.ge}
+
+
+def _failing(rows, key, op: str, limit: float, label: str) -> List[str]:
+    """A ``label`` message for every row whose ``key`` is ``op`` ``limit``."""
+    return [
+        f"{label} on {r['name']} ({key} {r[key]:.3f} {op} {limit})"
+        for r in rows if _FAILS[op](r[key], limit)
+    ]
+
+
+def kernel_gate(rows) -> List[str]:
+    return _failing(
+        rows, "speedup", "<", SMOKE_MIN_SPEEDUP,
+        "interned kernel slower than the kernel/reference.py baseline",
+    )
+
+
+def backward_gate(rows) -> List[str]:
+    smoke = [r for r in rows if r["family"] == "nd_bc" and r["n"] == SMOKE_FAMILY[1]]
+    wide_copy = [r for r in rows if r["family"] == "wide_copy"]
+    return _failing(
+        smoke, "backward_over_forward", ">", BACKWARD_SMOKE_MAX_RATIO,
+        "backward engine too slow",
+    ) + _failing(
+        wide_copy, "backward_over_forward", ">", BACKWARD_WIDE_COPY_MAX_RATIO,
+        "backward engine does not beat forward on its own family",
+    )
+
+
+def service_gate(rows) -> List[str]:
+    batches = [r for r in rows if r["group"] == "service"]
+    two_workers = [dict(r["workers"]["2"], name=r["name"]) for r in batches]
+    cpu_count = os.cpu_count() or 1
+    # Real cores available: a 2-worker pool must actually scale.  One
+    # time-sliced CPU cannot scale; there only the overhead is bounded.
+    limit = (
+        SERVICE_SMOKE_MIN_SPEEDUP if cpu_count >= 2
+        else SERVICE_SMOKE_MIN_RATIO_1CPU
+    )
+    # Byte accounting is deterministic: sticky mode must actually stop
+    # re-shipping schema text.
+    sticky = [r for r in rows if r["group"] == "service-sticky"]
+    return (
+        _failing(
+            two_workers, "speedup_vs_1_worker", "<", limit,
+            f"2-worker pool vs 1 worker with {cpu_count} CPUs",
+        )
+        + _failing(
+            batches, "table_cache_speedup", "<", 1.0,
+            "identical-repeat table-cache serving slower than recomputing",
+        )
+        + _failing(
+            sticky, "bytes_ratio", ">=", STICKY_SMOKE_MAX_BYTES_RATIO,
+            "sticky mode does not shrink request bytes of v1 framing",
+        )
+    )
+
+
+# Console lines: one per row group, printed after the row's padded name.
+def kernel_line(r) -> str:
+    baseline = (
+        f"  baseline {r['baseline_s'] * 1e3:8.2f} ms"
+        if "baseline_s" in r else " " * 22
+    )
+    speedup = f"  speedup {r['speedup']:6.2f}x" if "speedup" in r else ""
+    return f"{baseline}  kernel {r['kernel_s'] * 1e3:8.2f} ms{speedup}"
+
+
+def service_line(r) -> str:
+    scaling = "  ".join(
+        f"{workers}w {data['batch_s'] * 1e3:8.2f} ms"
+        f" ({data.get('speedup_vs_1_worker', 1.0):.2f}x)"
+        for workers, data in sorted(r["workers"].items(), key=lambda kv: int(kv[0]))
+    )
+    return (
+        f"  in-proc  {r['in_process_s'] * 1e3:8.2f} ms  pool: {scaling}"
+        f"  table-cache repeat {r['table_cache_speedup']:.1f}x"
+    )
+
+
+LINES = {
+    "forward": kernel_line,
+    "dfa": kernel_line,
+    "nta": kernel_line,
+    "backward": lambda r: (
+        f"  forward  {r['forward_s'] * 1e3:8.2f} ms"
+        f"  bwd    {r['backward_s'] * 1e3:8.2f} ms"
+        f"  b/f    {r['backward_over_forward']:6.2f}x"
+    ),
+    "auto": lambda r: (
+        f"  auto={r['chosen']:<8s}  routed {r['auto_s'] * 1e3:8.2f} ms"
+        f"  best {min(r['forward_s'], r['backward_s']) * 1e3:8.2f} ms"
+        f"  over-best {r['auto_over_best']:5.2f}x"
+    ),
+    "session": lambda r: (
+        f"  cold     {r['cold_s'] * 1e3:8.2f} ms"
+        f"  warm   {r['warm_s'] * 1e3:8.2f} ms"
+        f"  speedup {r['speedup']:6.2f}x"
+        f"  (one-shot registry {r['one_shot_registry_speedup']:.2f}x)"
+    ),
+    "service": service_line,
+    "service-shard": lambda r: (
+        f"  unsharded {r['unsharded_s'] * 1e3:7.2f} ms"
+        f"  sharded {r['sharded_s'] * 1e3:8.2f} ms"
+        f"  speedup {r['speedup']:6.2f}x"
+    ),
+    "service-sticky": lambda r: (
+        f"  v1 {r['v1_request_bytes']:>9} B"
+        f"  sticky {r['sticky_request_bytes']:>9} B"
+        f"  ({r['bytes_ratio']:.2f}x bytes, {r['latency_speedup']:.2f}x latency)"
+    ),
+    "service-shard-plan": lambda r: (
+        f"  planned spread {r['planned_spread_max_over_min']:6.2f}"
+        f"  round-robin spread {r['round_robin_spread_max_over_min']:6.2f}"
+    ),
+    "incremental": lambda r: (
+        f"  scratch  {r['scratch_s'] * 1e3:8.2f} ms"
+        f"  incr   {r['incremental_s'] * 1e3:8.2f} ms"
+        f"  ratio  {r['incremental_over_scratch']:6.2f}x"
+        f"  (vs cold {r['incremental_over_cold']:.2f}x)"
+    ),
+    "obs": lambda r: (
+        f"  plain    {r['plain_s'] * 1e3:8.2f} ms"
+        f"  off    {r['off_s'] * 1e3:8.2f} ms"
+        f"  off/plain {r['off_over_plain']:5.2f}x"
+        f"  (on/off {r['on_over_off']:.2f}x)"
+    ),
+}
+
+
+class Family(NamedTuple):
+    """One ``--only`` choice: the file it writes, its smoke and full
+    runners (``runner(rows, repeat=...)`` appends the family's rows) and
+    its smoke gate.  ``max_repeat`` caps the timing repetitions, and the
+    capped value is the repeat its file records."""
+
+    output: str
+    smoke: Callable[..., None]
+    full: Callable[..., None]
+    gate: Callable[[list], List[str]]
+    max_repeat: Optional[int] = None
+
+
+def _service_smoke(rows, repeat: int) -> None:
+    bench_service(rows, [(16, 12)], repeat, worker_counts=(1, 2))
+    bench_service_sticky(rows, 12, 10, repeat)
+    bench_shard_plan(rows, width=16, arms=8, repeat=2, shards=2)
+
+
+def _service_full(rows, repeat: int) -> None:
+    bench_service(rows, [(24, 24), (48, 16)], repeat, worker_counts=(1, 2, 4))
+    bench_service_shard(rows, 48, repeat, shards=4)
+    bench_service_sticky(rows, 24, 24, repeat)
+    bench_shard_plan(rows, width=16, arms=8, repeat=3, shards=2)
+    bench_shard_plan(rows, width=16, arms=8, repeat=3, shards=4)
+
+
+_ND_BC_SMOKE = ("nd_bc", nd_bc_family, SMOKE_FAMILY[1])
+_ENGINE_SMOKE = [_ND_BC_SMOKE, ("wide_copy", wide_copy_family, 8)]
+_ENGINE_FULL = [
+    ("nd_bc", nd_bc_family, 16),
+    ("nd_bc", nd_bc_family, 64),
+    ("filtering", filtering_family, 32),
+    ("wide_copy", wide_copy_family, 8),
+    ("wide_copy", wide_copy_family, 16),
+]
+
+# Insertion order is the run order.
+FAMILIES = {
+    "forward": Family(
+        "BENCH_kernel.json",
+        partial(bench_forward, sizes=[_ND_BC_SMOKE]),
+        partial(bench_forward, sizes=[
+            ("nd_bc", nd_bc_family, 16),
+            ("nd_bc", nd_bc_family, 32),
+            ("nd_bc", nd_bc_family, 64),
+            ("filtering", filtering_family, 32),
+            ("filtering", filtering_family, 48),
+        ]),
+        lambda rows: [],
+    ),
+    "backward": Family(
+        "BENCH_backward.json",
+        partial(bench_backward, sizes=_ENGINE_SMOKE),
+        partial(bench_backward, sizes=_ENGINE_FULL),
+        backward_gate,
+    ),
+    "auto": Family(
+        "BENCH_auto.json",
+        partial(bench_auto, sizes=_ENGINE_SMOKE),
+        partial(bench_auto, sizes=_ENGINE_FULL),
+        lambda rows: _failing(
+            rows, "auto_over_best", ">", AUTO_SMOKE_MAX_OVER_BEST,
+            "auto routed slower than the better engine",
+        ),
+    ),
+    "dfa": Family(
+        "BENCH_kernel.json",
+        partial(bench_dfa, sizes=[16]),
+        partial(bench_dfa, sizes=[16, 48, 96]),
+        kernel_gate,
+    ),
+    "nta": Family(
+        "BENCH_kernel.json",
+        partial(bench_nta, sizes=[32]),
+        partial(bench_nta, sizes=[32, 96, 256]),
+        kernel_gate,
+    ),
+    "session": Family(
+        "BENCH_session.json",
+        partial(bench_session, sizes=[SESSION_SMOKE_FAMILY]),
+        partial(bench_session, sizes=[(16, 6), (32, 12), (64, 8)]),
+        lambda rows: _failing(
+            rows, "speedup", "<", SESSION_SMOKE_MIN_SPEEDUP,
+            "warm session does not beat cold setup",
+        ),
+    ),
+    "service": Family(
+        "BENCH_service.json", _service_smoke, _service_full, service_gate,
+        max_repeat=3,
+    ),
+    "incremental": Family(
+        "BENCH_incremental.json",
+        partial(bench_incremental, sizes=[8]),
+        partial(bench_incremental, sizes=[8, 16]),
+        lambda rows: _failing(
+            rows, "incremental_over_scratch", ">", INCREMENTAL_SMOKE_MAX_RATIO,
+            "incremental re-check does not beat from-scratch",
+        ),
+    ),
+    "obs": Family(
+        "BENCH_obs.json",
+        partial(bench_obs, sizes=[_ND_BC_SMOKE]),
+        partial(bench_obs, sizes=[
+            ("nd_bc", nd_bc_family, 16), ("nd_bc", nd_bc_family, 32),
+        ]),
+        lambda rows: _failing(
+            rows, "off_over_plain", ">", OBS_SMOKE_MAX_OVERHEAD,
+            "disabled telemetry path is not free (vs the span seam patched out)",
+        ),
+    ),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="small sizes; exit 1 if a DFA/NTA kernel row "
-                             "is slower than its reference baseline, a "
-                             "warm session fails to beat cold setup, or "
-                             "incremental re-checking fails to beat "
-                             "from-scratch")
+                        help="small sizes; exit 1 if any family's gate fails")
     parser.add_argument("--only", action="append", metavar="FAMILY",
                         help="run only these bench families (repeatable or "
                              f"comma-separated; choices: {', '.join(FAMILIES)}"
@@ -1026,20 +1332,9 @@ def main(argv=None) -> int:
                              "not selected are preserved in place")
     parser.add_argument("--repeat", type=int, default=None,
                         help="timing repetitions (default: 5, smoke: 7)")
-    parser.add_argument("--output", type=Path,
-                        default=REPO_ROOT / "BENCH_kernel.json")
-    parser.add_argument("--output-session", type=Path,
-                        default=REPO_ROOT / "BENCH_session.json")
-    parser.add_argument("--output-service", type=Path,
-                        default=REPO_ROOT / "BENCH_service.json")
-    parser.add_argument("--output-backward", type=Path,
-                        default=REPO_ROOT / "BENCH_backward.json")
-    parser.add_argument("--output-auto", type=Path,
-                        default=REPO_ROOT / "BENCH_auto.json")
-    parser.add_argument("--output-incremental", type=Path,
-                        default=REPO_ROOT / "BENCH_incremental.json")
-    parser.add_argument("--output-obs", type=Path,
-                        default=REPO_ROOT / "BENCH_obs.json")
+    parser.add_argument("--out-dir", type=Path, default=REPO_ROOT,
+                        help="directory of the BENCH_*.json files "
+                             "(default: the repo root)")
     args = parser.parse_args(argv)
     repeat = args.repeat or (7 if args.smoke else 5)
     only = set()
@@ -1052,499 +1347,32 @@ def main(argv=None) -> int:
             f"(choices: {', '.join(FAMILIES)})"
         )
 
-    def want(family: str) -> bool:
-        return not only or family in only
-
-    results: list = []
-    session_results: list = []
-    service_results: list = []
-    backward_results: list = []
-    auto_results: list = []
-    incremental_results: list = []
-    obs_results: list = []
-    if args.smoke:
-        if want("forward"):
-            bench_forward(
-                results, [("nd_bc", nd_bc_family, SMOKE_FAMILY[1])], repeat
-            )
-        if want("backward"):
-            bench_backward(
-                backward_results,
-                [("nd_bc", nd_bc_family, SMOKE_FAMILY[1]),
-                 ("wide_copy", wide_copy_family, 8)],
-                repeat,
-            )
-        if want("auto"):
-            bench_auto(
-                auto_results,
-                [("nd_bc", nd_bc_family, SMOKE_FAMILY[1]),
-                 ("wide_copy", wide_copy_family, 8)],
-                repeat,
-            )
-        if want("dfa"):
-            bench_dfa(results, [16], repeat)
-        if want("nta"):
-            bench_nta(results, [32], repeat)
-        if want("session"):
-            bench_session(session_results, [SESSION_SMOKE_FAMILY], repeat)
-        if want("service"):
-            bench_service(
-                service_results, [(16, 12)], min(repeat, 3),
-                worker_counts=(1, 2),
-            )
-            bench_service_sticky(service_results, 12, 10, min(repeat, 3))
-            bench_shard_plan(
-                service_results, width=16, arms=8, repeat=2, shards=2
-            )
-        if want("incremental"):
-            bench_incremental(incremental_results, [8], repeat)
-        if want("obs"):
-            bench_obs(
-                obs_results, [("nd_bc", nd_bc_family, SMOKE_FAMILY[1])], repeat
-            )
-    else:
-        if want("forward"):
-            bench_forward(
-                results,
-                [
-                    ("nd_bc", nd_bc_family, 16),
-                    ("nd_bc", nd_bc_family, 32),
-                    ("nd_bc", nd_bc_family, 64),
-                    ("filtering", filtering_family, 32),
-                    ("filtering", filtering_family, 48),
-                ],
-                repeat,
-            )
-        if want("backward"):
-            bench_backward(
-                backward_results,
-                [
-                    ("nd_bc", nd_bc_family, 16),
-                    ("nd_bc", nd_bc_family, 64),
-                    ("filtering", filtering_family, 32),
-                    ("wide_copy", wide_copy_family, 8),
-                    ("wide_copy", wide_copy_family, 16),
-                ],
-                repeat,
-            )
-        if want("auto"):
-            bench_auto(
-                auto_results,
-                [
-                    ("nd_bc", nd_bc_family, 16),
-                    ("nd_bc", nd_bc_family, 64),
-                    ("filtering", filtering_family, 32),
-                    ("wide_copy", wide_copy_family, 8),
-                    ("wide_copy", wide_copy_family, 16),
-                ],
-                repeat,
-            )
-        if want("dfa"):
-            bench_dfa(results, [16, 48, 96], repeat)
-        if want("nta"):
-            bench_nta(results, [32, 96, 256], repeat)
-        if want("session"):
-            bench_session(
-                session_results, [(16, 6), (32, 12), (64, 8)], repeat
-            )
-        if want("service"):
-            bench_service(
-                service_results, [(24, 24), (48, 16)], min(repeat, 3),
-                worker_counts=(1, 2, 4),
-            )
-            bench_service_shard(service_results, 48, min(repeat, 3), shards=4)
-            bench_service_sticky(service_results, 24, 24, min(repeat, 3))
-            bench_shard_plan(
-                service_results, width=16, arms=8, repeat=3, shards=2
-            )
-            bench_shard_plan(
-                service_results, width=16, arms=8, repeat=3, shards=4
-            )
-        if want("incremental"):
-            bench_incremental(incremental_results, [8, 16], repeat)
-        if want("obs"):
-            bench_obs(
-                obs_results,
-                [("nd_bc", nd_bc_family, 16), ("nd_bc", nd_bc_family, 32)],
-                repeat,
-            )
-
-    import os as _os
-
-    mode = "smoke" if args.smoke else "full"
-    cpu_count = _os.cpu_count() or 1
-    written = []
-
-    def kernel_summary(rows):
-        forward = [r for r in rows if r["group"] == "forward"]
-        if not forward:
-            return {}
-        largest = max(forward, key=lambda r: (r["n"], r["kernel_s"]))
-        return {
-            "largest_forward": largest["name"],
-            "largest_forward_s": largest["kernel_s"],
-        }
-
-    def session_summary(rows):
-        largest = max(rows, key=lambda r: (r["n"], r["cold_s"]))
-        return {
-            "largest_batch": largest["name"],
-            "largest_batch_warm_speedup": largest["speedup"],
-        }
-
-    def service_summary(rows):
-        best_scaling = None
-        for row in rows:
-            if row["group"] != "service":
-                continue
-            for workers, data in row["workers"].items():
-                if workers == "1":
-                    continue
-                candidate = (
-                    data.get("speedup_vs_1_worker", 0.0), workers, row["name"]
-                )
-                if best_scaling is None or candidate > best_scaling:
-                    best_scaling = candidate
-        return {
-            "cpu_count": cpu_count,
-            "note": (
-                "multi-worker speedups are bounded by cpu_count: on a "
-                "single-CPU host the workers time-slice one core and the "
-                "pool can only match (not beat) one worker"
-            ),
-            "best_multi_worker_speedup": (
-                None if best_scaling is None else {
-                    "speedup_vs_1_worker": best_scaling[0],
-                    "workers": int(best_scaling[1]),
-                    "family": best_scaling[2],
-                }
-            ),
-        }
-
-    def backward_summary(rows):
-        best = min(rows, key=lambda r: r["backward_over_forward"])
-        return {
-            "note": (
-                "backward_over_forward < 1 means the inverse-type-inference "
-                "engine beats the Lemma 14 forward engine on the family; "
-                "verdicts are asserted identical on every row (both "
-                "polarities) before timing"
-            ),
-            "best_family": best["name"],
-            "best_backward_over_forward": best["backward_over_forward"],
-        }
-
-    def auto_summary(rows):
-        worst = max(rows, key=lambda r: r["auto_over_best"])
-        return {
-            "note": (
-                "auto_over_best is the routed engine's wall time over the "
-                "faster explicit engine's: 1.0 means the calibrated cost "
-                "comparison picked the winner; the smoke gate bounds it at "
-                f"{AUTO_SMOKE_MAX_OVER_BEST}x on nd_bc and wide_copy.  The "
-                "routing decision itself is memoized per transducer "
-                "(routing_warm_s is the steady-state price)"
-            ),
-            "worst_family": worst["name"],
-            "worst_auto_over_best": worst["auto_over_best"],
-        }
-
-    def incremental_summary(rows):
-        worst = max(rows, key=lambda r: r["incremental_over_scratch"])
-        return {
-            "note": (
-                "incremental_over_scratch is Session.retypecheck's wall "
-                "time over a from-scratch re-check of the same single-rule "
-                "edit on an equally schema-warmed session "
-                "(incremental_over_cold races a fresh session instead); "
-                "verdict parity with a cold session is asserted on both "
-                "polarities of every edit before timing; the smoke gate "
-                f"bounds the worst ratio at {INCREMENTAL_SMOKE_MAX_RATIO}x"
-            ),
-            "worst_family": worst["name"],
-            "worst_incremental_over_scratch": worst["incremental_over_scratch"],
-        }
-
-    def obs_summary(rows):
-        worst = max(rows, key=lambda r: r["off_over_plain"])
-        return {
-            "note": (
-                "off_over_plain is the shipped disabled telemetry path "
-                "(null spans, unmetered kernel drain) over a run with the "
-                "span seam patched out entirely — the price of the hooks "
-                "existing, which the smoke gate bounds at "
-                f"{OBS_SMOKE_MAX_OVERHEAD}x; on_over_off is what enabling "
-                "the trace sink and metered kernel drain actually costs "
-                "and is informational; *_explain rows price the "
-                "Session.typecheck explain seam the same way (off = "
-                "explain=False default path, on = full QueryReport)"
-            ),
-            "worst_family": worst["name"],
-            "worst_off_over_plain": worst["off_over_plain"],
-        }
-
-    for path, rows, file_repeat, summarize in (
-        (args.output, results, repeat, kernel_summary),
-        (args.output_session, session_results, repeat, session_summary),
-        (args.output_service, service_results, min(repeat, 3),
-         service_summary),
-        (args.output_backward, backward_results, repeat, backward_summary),
-        (args.output_auto, auto_results, repeat, auto_summary),
-        (args.output_incremental, incremental_results, repeat,
-         incremental_summary),
-        (args.output_obs, obs_results, repeat, obs_summary),
-    ):
-        if rows:
-            _merge_bench(path, rows, mode, file_repeat, summarize)
-            written.append(path)
-
-    service_batches = [r for r in service_results if r["group"] == "service"]
-    all_rows = (
-        results + session_results + service_results + backward_results
-        + auto_results + incremental_results + obs_results
-    )
-    width = max((len(r["name"]) for r in all_rows), default=0)
-    for r in results:
-        baseline = (
-            f"  baseline {r['baseline_s'] * 1e3:8.2f} ms"
-            if "baseline_s" in r else " " * 22
-        )
-        speedup = f"  speedup {r['speedup']:6.2f}x" if "speedup" in r else ""
-        print(
-            f"{r['name']:<{width}}{baseline}"
-            f"  kernel {r['kernel_s'] * 1e3:8.2f} ms{speedup}"
-        )
-    for r in backward_results:
-        print(
-            f"{r['name']:<{width}}  forward  {r['forward_s'] * 1e3:8.2f} ms"
-            f"  bwd    {r['backward_s'] * 1e3:8.2f} ms"
-            f"  b/f    {r['backward_over_forward']:6.2f}x"
-        )
-    for r in auto_results:
-        print(
-            f"{r['name']:<{width}}  auto={r['chosen']:<8s}"
-            f"  routed {r['auto_s'] * 1e3:8.2f} ms"
-            f"  best {min(r['forward_s'], r['backward_s']) * 1e3:8.2f} ms"
-            f"  over-best {r['auto_over_best']:5.2f}x"
-        )
-    for r in session_results:
-        print(
-            f"{r['name']:<{width}}  cold     {r['cold_s'] * 1e3:8.2f} ms"
-            f"  warm   {r['warm_s'] * 1e3:8.2f} ms"
-            f"  speedup {r['speedup']:6.2f}x"
-            f"  (one-shot registry {r['one_shot_registry_speedup']:.2f}x)"
-        )
-    for r in service_batches:
-        scaling = "  ".join(
-            f"{workers}w {data['batch_s'] * 1e3:8.2f} ms"
-            f" ({data.get('speedup_vs_1_worker', 1.0):.2f}x)"
-            for workers, data in sorted(r["workers"].items(), key=lambda kv: int(kv[0]))
-        )
-        print(
-            f"{r['name']:<{width}}  in-proc  {r['in_process_s'] * 1e3:8.2f} ms"
-            f"  pool: {scaling}"
-            f"  table-cache repeat {r['table_cache_speedup']:.1f}x"
-        )
-    for r in service_results:
-        if r["group"] != "service-shard":
+    outputs: dict = {}  # output file -> (rows, recorded repeat)
+    failures: List[str] = []
+    for name, family in FAMILIES.items():
+        if only and name not in only:
             continue
-        print(
-            f"{r['name']:<{width}}  unsharded {r['unsharded_s'] * 1e3:7.2f} ms"
-            f"  sharded {r['sharded_s'] * 1e3:8.2f} ms"
-            f"  speedup {r['speedup']:6.2f}x"
-        )
-    for r in service_results:
-        if r["group"] == "service-sticky":
-            print(
-                f"{r['name']:<{width}}  v1 {r['v1_request_bytes']:>9} B"
-                f"  sticky {r['sticky_request_bytes']:>9} B"
-                f"  ({r['bytes_ratio']:.2f}x bytes,"
-                f" {r['latency_speedup']:.2f}x latency)"
-            )
-        elif r["group"] == "service-shard-plan":
-            print(
-                f"{r['name']:<{width}}"
-                f"  planned spread {r['planned_spread_max_over_min']:6.2f}"
-                f"  round-robin spread"
-                f" {r['round_robin_spread_max_over_min']:6.2f}"
-            )
-    for r in incremental_results:
-        print(
-            f"{r['name']:<{width}}  scratch  {r['scratch_s'] * 1e3:8.2f} ms"
-            f"  incr   {r['incremental_s'] * 1e3:8.2f} ms"
-            f"  ratio  {r['incremental_over_scratch']:6.2f}x"
-            f"  (vs cold {r['incremental_over_cold']:.2f}x)"
-        )
-    for r in obs_results:
-        print(
-            f"{r['name']:<{width}}  plain    {r['plain_s'] * 1e3:8.2f} ms"
-            f"  off    {r['off_s'] * 1e3:8.2f} ms"
-            f"  off/plain {r['off_over_plain']:5.2f}x"
-            f"  (on/off {r['on_over_off']:.2f}x)"
-        )
-    print()
-    for path in written:
-        print(f"wrote {path}")
+        family_repeat = min(repeat, family.max_repeat or repeat)
+        rows: list = []
+        (family.smoke if args.smoke else family.full)(rows, repeat=family_repeat)
+        outputs.setdefault(family.output, ([], family_repeat))[0].extend(rows)
+        if args.smoke:
+            failures += family.gate(rows)
 
-    if args.smoke:
-        failed = False
-        for smoke in results:
-            if smoke["group"] not in ("dfa", "nta"):
-                continue
-            if smoke["speedup"] < SMOKE_MIN_SPEEDUP:
-                print(
-                    f"SMOKE FAILURE: interned kernel slower than the "
-                    f"kernel/reference.py baseline on {smoke['name']} "
-                    f"({smoke['kernel_s'] * 1e3:.2f} ms vs "
-                    f"{smoke['baseline_s'] * 1e3:.2f} ms; speedup "
-                    f"{smoke['speedup']:.2f}x < {SMOKE_MIN_SPEEDUP}x)",
-                    file=sys.stderr,
-                )
-                failed = True
-        session_smoke = session_results[0] if session_results else None
-        if (
-            session_smoke is not None
-            and session_smoke["speedup"] < SESSION_SMOKE_MIN_SPEEDUP
-        ):
-            print(
-                f"SMOKE FAILURE: warm session does not beat cold setup on "
-                f"{session_smoke['name']} "
-                f"({session_smoke['warm_s'] * 1e3:.2f} ms vs "
-                f"{session_smoke['cold_s'] * 1e3:.2f} ms; speedup "
-                f"{session_smoke['speedup']:.2f}x < "
-                f"{SESSION_SMOKE_MIN_SPEEDUP}x)",
-                file=sys.stderr,
-            )
-            failed = True
-        service_smoke = service_batches[0] if service_batches else None
-        two = (
-            None if service_smoke is None
-            else service_smoke["workers"]["2"]["speedup_vs_1_worker"]
-        )
-        if two is None:
-            pass
-        elif cpu_count >= 2:
-            # Real cores available: a 2-worker pool must actually scale.
-            if two < SERVICE_SMOKE_MIN_SPEEDUP:
-                print(
-                    f"SMOKE FAILURE: 2-worker pool does not beat 1 worker on "
-                    f"{service_smoke['name']} ({two:.2f}x < "
-                    f"{SERVICE_SMOKE_MIN_SPEEDUP}x with {cpu_count} CPUs)",
-                    file=sys.stderr,
-                )
-                failed = True
-        elif two < SERVICE_SMOKE_MIN_RATIO_1CPU:
-            # One time-sliced CPU cannot scale; only bound the overhead.
-            print(
-                f"SMOKE FAILURE: 2-worker pool overhead out of bounds on "
-                f"{service_smoke['name']} ({two:.2f}x < "
-                f"{SERVICE_SMOKE_MIN_RATIO_1CPU}x on a single CPU)",
-                file=sys.stderr,
-            )
-            failed = True
-        if (
-            service_smoke is not None
-            and service_smoke["table_cache_speedup"] < 1.0
-        ):
-            print(
-                "SMOKE FAILURE: identical-repeat table-cache serving is "
-                f"slower than recomputing "
-                f"({service_smoke['table_cache_speedup']:.2f}x < 1x)",
-                file=sys.stderr,
-            )
-            failed = True
-        backward_smoke = next(
-            (r for r in backward_results
-             if r["family"] == "nd_bc" and r["n"] == SMOKE_FAMILY[1]),
-            None,
-        )
-        if (
-            backward_smoke is not None
-            and backward_smoke["backward_over_forward"]
-            > BACKWARD_SMOKE_MAX_RATIO
-        ):
-            print(
-                f"SMOKE FAILURE: backward engine too slow on "
-                f"{backward_smoke['name']} "
-                f"({backward_smoke['backward_s'] * 1e3:.2f} ms vs forward "
-                f"{backward_smoke['forward_s'] * 1e3:.2f} ms; ratio "
-                f"{backward_smoke['backward_over_forward']:.2f}x > "
-                f"{BACKWARD_SMOKE_MAX_RATIO}x)",
-                file=sys.stderr,
-            )
-            failed = True
-        for row in auto_results:
-            if row["auto_over_best"] > AUTO_SMOKE_MAX_OVER_BEST:
-                print(
-                    f"SMOKE FAILURE: auto routed {row['name']} to "
-                    f"{row['chosen']} at {row['auto_s'] * 1e3:.2f} ms vs the "
-                    f"better engine's "
-                    f"{min(row['forward_s'], row['backward_s']) * 1e3:.2f} ms "
-                    f"({row['auto_over_best']:.2f}x > "
-                    f"{AUTO_SMOKE_MAX_OVER_BEST}x)",
-                    file=sys.stderr,
-                )
-                failed = True
-        wide_copy = next(
-            (r for r in backward_results if r["family"] == "wide_copy"),
-            None,
-        )
-        if (
-            wide_copy is not None
-            and wide_copy["backward_over_forward"]
-            > BACKWARD_WIDE_COPY_MAX_RATIO
-        ):
-            print(
-                f"SMOKE FAILURE: backward engine does not beat forward on "
-                f"its own family {wide_copy['name']} "
-                f"({wide_copy['backward_over_forward']:.3f}x > "
-                f"{BACKWARD_WIDE_COPY_MAX_RATIO}x)",
-                file=sys.stderr,
-            )
-            failed = True
-        sticky = next(
-            (r for r in service_results if r["group"] == "service-sticky"),
-            None,
-        )
-        if (
-            sticky is not None
-            and sticky["bytes_ratio"] >= STICKY_SMOKE_MAX_BYTES_RATIO
-        ):
-            # Byte accounting is deterministic: sticky mode must actually
-            # stop re-shipping schema text.
-            print(
-                f"SMOKE FAILURE: sticky mode does not shrink request bytes "
-                f"on {sticky['name']} ({sticky['bytes_ratio']:.2f}x >= "
-                f"{STICKY_SMOKE_MAX_BYTES_RATIO}x of v1)",
-                file=sys.stderr,
-            )
-            failed = True
-        for row in obs_results:
-            if row["off_over_plain"] > OBS_SMOKE_MAX_OVERHEAD:
-                print(
-                    f"SMOKE FAILURE: disabled telemetry path is not free on "
-                    f"{row['name']} ({row['off_s'] * 1e3:.2f} ms vs "
-                    f"{row['plain_s'] * 1e3:.2f} ms with the span seam "
-                    f"patched out; ratio {row['off_over_plain']:.3f}x > "
-                    f"{OBS_SMOKE_MAX_OVERHEAD}x)",
-                    file=sys.stderr,
-                )
-                failed = True
-        for row in incremental_results:
-            if row["incremental_over_scratch"] > INCREMENTAL_SMOKE_MAX_RATIO:
-                print(
-                    f"SMOKE FAILURE: incremental re-check does not beat "
-                    f"from-scratch on {row['name']} "
-                    f"({row['incremental_s'] * 1e3:.2f} ms vs "
-                    f"{row['scratch_s'] * 1e3:.2f} ms; ratio "
-                    f"{row['incremental_over_scratch']:.2f}x > "
-                    f"{INCREMENTAL_SMOKE_MAX_RATIO}x)",
-                    file=sys.stderr,
-                )
-                failed = True
-        if failed:
-            return 1
-    return 0
+    all_rows = [row for rows, _repeat in outputs.values() for row in rows]
+    width = max((len(r["name"]) for r in all_rows), default=0)
+    for r in all_rows:
+        print(f"{r['name']:<{width}}{LINES[r['group']](r)}")
+    print()
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    mode = "smoke" if args.smoke else "full"
+    for output, (rows, file_repeat) in outputs.items():
+        path = args.out_dir / output
+        _merge_bench(path, rows, mode, file_repeat, SUMMARIES[output])
+        print(f"wrote {path}")
+    for message in failures:
+        print(f"SMOKE FAILURE: {message}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

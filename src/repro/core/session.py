@@ -404,22 +404,11 @@ class Session:
         # "auto": the paper's algorithm selection (api module docstring).
         # ``max_tuple`` is auto's "force the forward engine" escape hatch,
         # so it is not rejected here — only explicit methods are strict.
-        if self._replus_pair:
-            result = self._run_auto("replus", transducer, None, kwargs)
-            return result
+        choice, costs = self._resolve_auto(transducer, max_tuple)
+        if choice == "replus":
+            return self._run_auto(choice, transducer, None, kwargs)
         plain, analysis = self._compiled_transducer(transducer)
-        if self._dtd_pair_value is not None and max_tuple is not None:
-            # The escape hatch always means the forward engine: a caller
-            # bounding the tuple width is asking for the (possibly
-            # exponential) forward run, never a routed alternative.
-            return self._run_auto("forward", plain, max_tuple, kwargs)
-        if self._dtd_pair_value is not None and analysis.in_trac:
-            # Every routable (complete, cost-modelled) engine applies:
-            # route by measurable schema shape.  Each engine's shard cost
-            # model is summed over its own check keys, weighed by its
-            # calibrated per-unit runtime, and the cheapest predicted
-            # wall time runs.
-            choice, costs = self._auto_choice(plain)
+        if costs:
             route_start = time.perf_counter()
             result = self._run_auto(choice, plain, None, kwargs)
             # Router audit: predicted vs. measured cost of this decision —
@@ -437,15 +426,11 @@ class Session:
             for name, cost in costs.items():
                 result.stats[f"auto_{name}_cost"] = round(cost, 3)
             return result
-        if analysis.is_del_relab:
-            return self._run_auto("delrelab", plain, None, kwargs)
-        if self._dtd_pair_value is not None:
-            # Out of every T^{C,K}_trac over DTDs: the forward engine
-            # would raise ClassViolationError, but inverse type inference
-            # is complete for any deterministic top-down transducer over
-            # DTDs (budget-guarded), so auto falls back to it instead of
-            # refusing the instance.
-            return self._run_auto("backward", plain, None, kwargs)
+        if choice is not None:
+            # Only the max_tuple escape hatch hands the forward engine a
+            # tuple bound; every other route runs unbounded.
+            bound = max_tuple if choice == "forward" else None
+            return self._run_auto(choice, plain, bound, kwargs)
         raise ClassViolationError(
             "instance crosses the tractability frontier: the transducer has "
             f"copying width {analysis.copying_width} and "
@@ -582,12 +567,12 @@ class Session:
             }
             return result
 
-        plain, analysis = self._compiled_transducer(transducer)
+        plain = self._compiled_transducer(transducer)[0]
 
         # Resolve auto exactly as _typecheck's policy would, so the
         # resolved engine (and hence the reported mode) matches the run.
         if method == "auto":
-            resolved = self._resolve_auto(plain, analysis, max_tuple)
+            resolved, _costs = self._resolve_auto(transducer, max_tuple)
             if resolved is None:
                 # Frontier-crossing instance: the cold call raises the
                 # same ClassViolationError a plain typecheck would.
@@ -700,25 +685,39 @@ class Session:
         return result
 
     def _resolve_auto(
-        self,
-        plain: TreeTransducer,
-        analysis: TransducerAnalysis,
-        max_tuple: Optional[int],
-    ) -> Optional[str]:
-        """The engine ``method="auto"`` resolves to for this instance
-        (mirrors ``_typecheck``'s ladder), or ``None`` when auto would
-        refuse it (the tractability frontier)."""
+        self, transducer: TreeTransducer, max_tuple: Optional[int]
+    ) -> Tuple[Optional[str], Dict[str, float]]:
+        """``(engine, predicted costs)`` for ``method="auto"`` on ``T``:
+        the one auto ladder, which :meth:`_typecheck` runs and
+        :meth:`retypecheck` resolves before diffing.
+
+        The engine is ``None`` when auto refuses the instance (the
+        tractability frontier).  The costs are non-empty only when the
+        calibrated cost router decided: every routable (complete,
+        cost-modelled) engine applies to an in-trac DTD-pair instance, so
+        the cheapest predicted wall time wins (:meth:`_auto_choice`).
+        """
         if self._replus_pair:
-            return "replus"
-        if self._dtd_pair_value is not None and max_tuple is not None:
-            return "forward"
-        if self._dtd_pair_value is not None and analysis.in_trac:
-            return self._auto_choice(plain)[0]
+            return "replus", {}
+        plain, analysis = self._compiled_transducer(transducer)
+        dtd_pair = self._dtd_pair_value is not None
+        if dtd_pair and max_tuple is not None:
+            # The escape hatch always means the forward engine: a caller
+            # bounding the tuple width is asking for the (possibly
+            # exponential) forward run, never a routed alternative.
+            return "forward", {}
+        if dtd_pair and analysis.in_trac:
+            return self._auto_choice(plain)
         if analysis.is_del_relab:
-            return "delrelab"
-        if self._dtd_pair_value is not None:
-            return "backward"
-        return None
+            return "delrelab", {}
+        if dtd_pair:
+            # Out of every T^{C,K}_trac over DTDs: the forward engine
+            # would raise ClassViolationError, but inverse type inference
+            # is complete for any deterministic top-down transducer over
+            # DTDs (budget-guarded), so auto falls back to it instead of
+            # refusing the instance.
+            return "backward", {}
+        return None, {}
 
     def typecheck_many(
         self,

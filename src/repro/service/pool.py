@@ -835,21 +835,6 @@ class WorkerPool:
             singles.append(single)
         return singles
 
-    def submit_payload_many(
-        self, payload: Dict[str, object]
-    ) -> List[PoolTicket]:
-        """Split a ``typecheck_many`` payload and fan it out (round-robin).
-
-        Unbounded: every item is queued at once.  The TCP server does NOT
-        use this — it windows the items under its global inflight gate
-        (see ``ServiceServer._dispatch``) so one batch line cannot balloon
-        the queues.
-        """
-        return [
-            self.submit_single(single, "typecheck", fanout=True)
-            for single in self.split_payload_many(payload)
-        ]
-
     def worker_stats(self, timeout: Optional[float] = 30.0) -> List[Dict[str, object]]:
         """Per-worker introspection round trip: session-registry detail
         (resident pairs, byte footprints, hit/miss/eviction counters) and

@@ -453,15 +453,21 @@ class ServiceServer:
     PIN_RETRIES = 3
 
     async def _pinned_call(
-        self, pin: _Pin, json_op: str, payload: Dict[str, object], trace=None
+        self,
+        pin: _Pin,
+        json_op: str,
+        payload: Dict[str, object],
+        trace=None,
+        slot: Optional[int] = None,
     ):
-        """One pinned (bare v2) request, re-pinning on a stale pair."""
+        """One pinned (bare v2) request on worker ``slot`` (``None``
+        round-robins, as the bare batch does), re-pinning on a stale pair."""
         loop = asyncio.get_running_loop()
         for attempt in range(self.PIN_RETRIES + 1):
             try:
                 return await self._pool_result(
                     lambda: self.pool.submit(
-                        "pinned", (pin.pair, json_op, payload), slot=pin.slot
+                        "pinned", (pin.pair, json_op, payload), slot=slot
                     ),
                     trace=trace,
                 )
@@ -566,7 +572,7 @@ class ServiceServer:
             )
         if bare:
             return await self._pinned_call(
-                pin, op, self._bare_payload(message), trace
+                pin, op, self._bare_payload(message), trace, slot=pin.slot
             )
         return await self._pool_result(
             lambda: self.pool.submit_payload(message), trace=trace
@@ -653,28 +659,9 @@ class ServiceServer:
                 payload: Dict[str, object] = {"transducer": item}
                 if method is not None:
                     payload["method"] = method
-                chunk.append(self._pinned_fanout(pin, payload, trace))
+                chunk.append(self._pinned_call(pin, "typecheck", payload, trace))
             results.extend(await asyncio.gather(*chunk))
         return results
-
-    async def _pinned_fanout(self, pin: _Pin, payload: Dict[str, object], trace=None):
-        """One bare batch item, round-robined across the (pinned) workers."""
-        for attempt in range(self.PIN_RETRIES + 1):
-            try:
-                return await self._pool_result(
-                    lambda: self.pool.submit(
-                        "pinned", (pin.pair, "typecheck", payload)
-                    ),
-                    trace=trace,
-                )
-            except UnknownPairError:
-                if attempt >= self.PIN_RETRIES:
-                    raise
-                loop = asyncio.get_running_loop()
-                await loop.run_in_executor(
-                    None,
-                    lambda: self.pool.pin_pair(pin.pair, pin.din, pin.dout),
-                )
 
     def _typecheck_sharded(
         self, message: Dict[str, object], shards: int, pin: Optional[_Pin]
