@@ -36,6 +36,15 @@ finite *behavior*:
                     of the hedge induces on the completed content DFA of
                     σ — the transition-monoid element of the word.
 
+Each transformation is a compact byte table, one byte per state of σ's
+completed kernel, and composition is ``bytes.translate`` against the
+right operand padded to 256 entries — C-speed in the standard library.
+An engine whose tracked kernels include one with more than
+``PACK_LIMIT`` (256) states, more than a byte can index, composes tuples
+instead.  A single output tree's transformation is its label's column in
+the kernel's transition table, built on first use in the kernel's
+lifetime ``aux`` memo and shared by every engine over that kernel.
+
 Behaviors concatenate (counts add saturating, valid bits conjoin,
 transformations compose), so the behavior of ``T^q(a(t₁ ⋯ t_k))`` is
 computed from the rules ``rhs(q, a)`` and the child behaviors alone —
@@ -98,6 +107,13 @@ PairKey = Tuple[str, int]
 
 #: How many per-transducer result snapshots a BackwardSchema retains (LRU).
 BACKWARD_TABLE_LIMIT = 64
+
+#: Largest tracked output kernel (in states) whose transformations are
+#: stored as compact ``bytes``: ``bytes.translate`` indexes a 256-entry
+#: table.  An engine with any larger tracked kernel composes tuples.
+PACK_LIMIT = 256
+
+_BYTE_RANGE = bytes(range(256))
 
 
 class BackwardSchema:
@@ -254,36 +270,35 @@ class BackwardEngine:
         self.early_exit = early_exit
         self.out_alphabet = frozenset(transducer.alphabet | dout.alphabet)
 
-        # Domain: the states whose translations can be spliced anywhere —
-        # every rhs leaf state plus the initial state (the root check).
-        leaves: Set[str] = {transducer.initial}
-        tracked: Set[str] = set()
-        for rhs in transducer.rules.values():
-            for _path, node in iter_rhs_nodes(rhs):
-                if isinstance(node, (RhsState, RhsCall)):
-                    leaves.add(node.state)
-                elif any(
-                    isinstance(child, (RhsState, RhsCall))
-                    for child in node.children
-                ):
-                    tracked.add(node.label)
-        self.domain: Tuple[str, ...] = tuple(sorted(leaves))
+        self.domain, self.sigmas = _behavior_signature(transducer)
         self._dom_index = {q: i for i, q in enumerate(self.domain)}
         self._q0_index = self._dom_index[transducer.initial]
-        # Tracked output symbols: only a label with a state directly under
-        # it ever reads a transducer-produced hedge with its content DFA —
-        # behaviors carry transformations for exactly those.
-        self.sigmas: Tuple[str, ...] = tuple(sorted(tracked))
         self._sigma_index = {s: i for i, s in enumerate(self.sigmas)}
         self._out = [
             schema.out_kernel(sigma, self.out_alphabet) for sigma in self.sigmas
+        ]
+        # Transformations are compact byte tables unless some tracked
+        # kernel is too large for ``bytes.translate`` to index.
+        self._packed = all(idfa.n_states <= PACK_LIMIT for idfa in self._out)
+        # Right-operand padding up to the 256-entry translate table.
+        self._tails = tuple(_BYTE_RANGE[idfa.n_states:] for idfa in self._out)
+        # Per-kernel ``label -> column`` memos in the kernels' lifetime
+        # ``aux``: every engine over the same completed DFA (the same output
+        # symbol and output alphabet) shares the column objects.
+        self._columns = [
+            idfa.aux.setdefault(("backward_columns", self._packed), {})
+            for idfa in self._out
         ]
 
         # Behavior / behavior-map interners and the operation memos (the
         # lazily built multiplication table of the transformation monoid).
         self._abs = Interner()
         self._maps = Interner()
-        identity = tuple(tuple(range(idfa.n_states)) for idfa in self._out)
+        identity = tuple(
+            _BYTE_RANGE[:idfa.n_states] if self._packed
+            else tuple(range(idfa.n_states))
+            for idfa in self._out
+        )
         self._abs_empty = self._abs.intern((0, None, True, identity))
         self._map_empty = self._maps.intern(
             (self._abs_empty,) * len(self.domain)
@@ -333,9 +348,14 @@ class BackwardEngine:
                 label = l1 if c1 else l2
             else:
                 label = None
-            composed = tuple(
-                tuple(t2[x] for x in t1) for t1, t2 in zip(f1, f2)
-            )
+            if self._packed:
+                composed = tuple(map(
+                    bytes.translate, f1, map(bytes.__add__, f2, self._tails)
+                ))
+            else:
+                composed = tuple(
+                    tuple(map(t2.__getitem__, t1)) for t1, t2 in zip(f1, f2)
+                )
             cached = self._abs.intern((count, label, v1 and v2, composed))
             self._concat_memo[key] = cached
         return cached
@@ -346,13 +366,15 @@ class BackwardEngine:
         cached = self._sym_memo.get(key)
         if cached is None:
             columns = []
-            for idfa in self._out:
-                j = idfa.symbols.index(label)
-                table = idfa.table
-                ns = idfa.n_symbols
-                columns.append(
-                    tuple(table[x * ns + j] for x in range(idfa.n_states))
-                )
+            for idfa, memo in zip(self._out, self._columns):
+                column = memo.get(label)
+                if column is None:
+                    # Built on first use, never at compile time.
+                    cells = idfa.table[idfa.symbols.index(label)::idfa.n_symbols]
+                    column = memo[label] = (
+                        bytes(cells) if self._packed else tuple(cells)
+                    )
+                columns.append(column)
             cached = self._abs.intern((1, label, valid, tuple(columns)))
             self._sym_memo[key] = cached
         return cached
@@ -686,7 +708,9 @@ class BackwardEngine:
     # engine-independent by construction — the domain/σ orders are sorted
     # and the transformation entries are kernel DFA state indices, whose
     # numbering is deterministic from the DTD content (already load-bearing
-    # for the forward table merge).
+    # for the forward table merge).  Transformations travel in the packed
+    # or tuple form they were computed in; exporter and importer decide
+    # that form alike, from the same schema and PACK_LIMIT.
     def externalize(self, phi_int: int) -> Tuple:
         """The engine-independent value of an interned Φ."""
         return tuple(
@@ -784,19 +808,9 @@ def backward_key_costs(
     measurable-shape counterpart of the forward ``n_out^m`` seed model.
     """
     out_alphabet = frozenset(transducer.alphabet | schema.dout.alphabet)
-    tracked: Set[str] = set()
-    for rhs in transducer.rules.values():
-        for _path, node in iter_rhs_nodes(rhs):
-            if isinstance(node, (RhsState, RhsCall)):
-                continue
-            if any(
-                isinstance(child, (RhsState, RhsCall))
-                for child in node.children
-            ):
-                tracked.add(node.label)
+    _domain, tracked = _behavior_signature(transducer)
     monoid = 1 + sum(
-        schema.out_kernel(sigma, out_alphabet).n_states
-        for sigma in sorted(tracked)
+        schema.out_kernel(sigma, out_alphabet).n_states for sigma in tracked
     )
     costs: List[float] = []
     for a in keys:
@@ -925,10 +939,14 @@ def _behavior_signature(
 ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """The ``(domain, sigmas)`` shape of a transducer's behavior values.
 
-    Externalized Φs are tuples over the sorted domain of behaviors whose
-    transformations run over the sorted tracked-σ kernels — two
-    transducers' tables are exchange-compatible exactly when these match
-    (same construction as ``BackwardEngine.__init__``).
+    The domain holds the states whose translations can be spliced
+    anywhere: every rhs leaf state plus the initial state (the root
+    check).  The tracked σs are the output labels with a state directly
+    under them — only those ever read a transducer-produced hedge with
+    their content DFA, so behaviors carry transformations for exactly
+    those.  Externalized Φs are tuples over the sorted domain of behaviors
+    whose transformations run over the sorted tracked-σ kernels, so two
+    transducers' tables are exchange-compatible exactly when these match.
     """
     leaves: Set[str] = {transducer.initial}
     tracked: Set[str] = set()

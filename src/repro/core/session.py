@@ -116,17 +116,6 @@ def allowed_kwargs(method: str) -> frozenset:
     return get_engine(method).allowed_kwargs()
 
 
-def validate_method_kwargs(method: str, kwargs: Dict[str, object]) -> None:
-    """Reject options the selected method does not understand.
-
-    The seed API silently forwarded unknown ``**kwargs`` into the per-method
-    functions, producing a bare ``TypeError`` from deep inside the call (or,
-    worse, a typo'd option being dropped by a dispatch branch that never
-    forwarded it).  This names the offending option and lists the valid ones.
-    """
-    get_engine(method).validate_kwargs(kwargs)
-
-
 def _reject_max_tuple(method: str, max_tuple: Optional[int]) -> None:
     if max_tuple is not None:
         raise TypeError(

@@ -173,14 +173,18 @@ class TreeTransducer:
         return cached
 
     def uses_calls(self) -> bool:
-        """Whether any rhs contains an XPath/DFA call."""
-        from repro.transducers.rhs import iter_rhs_nodes
+        """Whether any rhs contains an XPath/DFA call (cached, like
+        :meth:`content_hash`)."""
+        cached = getattr(self, "_uses_calls", None)
+        if cached is None:
+            from repro.transducers.rhs import iter_rhs_nodes
 
-        return any(
-            isinstance(node, RhsCall)
-            for rhs in self.rules.values()
-            for _, node in iter_rhs_nodes(rhs)
-        )
+            cached = self._uses_calls = any(
+                isinstance(node, RhsCall)
+                for rhs in self.rules.values()
+                for _, node in iter_rhs_nodes(rhs)
+            )
+        return cached
 
     # ------------------------------------------------------------------
     # Semantics on explicit trees

@@ -20,6 +20,7 @@ warm ``BackwardSchema`` path on every repeated pair.
 
 import pytest
 
+from repro.backward import engine as backward_engine
 from repro.backward import typecheck_backward
 from repro.core import typecheck
 from repro.core.forward import typecheck_forward
@@ -34,10 +35,27 @@ def _in_trac(transducer) -> bool:
     return analyze(transducer).deletion_path_width is not None
 
 
+def _chunk_seeds(chunk):
+    chunk_size = N_SEEDS // 10
+    return range(chunk * chunk_size, (chunk + 1) * chunk_size)
+
+
 @pytest.mark.parametrize("chunk", range(10))
 def test_backward_matches_forward_and_oracle(chunk):
-    chunk_size = N_SEEDS // 10
-    for seed in range(chunk * chunk_size, (chunk + 1) * chunk_size):
+    _check_against_forward_and_oracle(_chunk_seeds(chunk))
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_tuple_path_matches_forward_and_oracle(chunk, monkeypatch):
+    """The same differential with every engine on the tuple
+    representation, the one kept for tracked kernels too large for byte
+    tables (any engine with a tracked σ has a kernel above limit 0)."""
+    monkeypatch.setattr(backward_engine, "PACK_LIMIT", 0)
+    _check_against_forward_and_oracle(_chunk_seeds(chunk))
+
+
+def _check_against_forward_and_oracle(seeds):
+    for seed in seeds:
         transducer, din, dout = seeded_instance(seed)
         backward = typecheck_backward(transducer, din, dout)
         assert backward.algorithm == "backward"

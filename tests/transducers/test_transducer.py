@@ -94,6 +94,19 @@ class TestConstruction:
         text = example6_transducer().pretty()
         assert "(q, b) → c(p q)" in text
 
+    def test_uses_calls_is_cached(self, monkeypatch):
+        plain = example6_transducer()
+        calls = TreeTransducer(
+            {"q"}, {"a", "b"}, "q", {("q", "a"): "b(<q, .//a>)"}
+        )
+        assert (plain.uses_calls(), calls.uses_calls()) == (False, True)
+
+        def no_walk(_hedge):
+            raise AssertionError("uses_calls re-walked the rules")
+
+        monkeypatch.setattr("repro.transducers.rhs.iter_rhs_nodes", no_walk)
+        assert (plain.uses_calls(), calls.uses_calls()) == (False, True)
+
 
 class TestSemantics:
     def test_example7_translation(self):
